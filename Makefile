@@ -47,11 +47,12 @@ race:
 
 # race-short runs the concurrent control plane — scheduler service,
 # federation (shared clock + copy-on-publish snapshots), web API, load
-# generator, live RPC cluster — under the race detector in short mode.
+# generator, live RPC cluster — plus hadard's flag-validation table
+# under the race detector in short mode.
 # The quick local gate before touching any of those packages; `race` is
 # the full-suite version CI runs.
 race-short:
-	$(GO) test -race -short ./internal/federation ./internal/service ./internal/web ./internal/loadgen ./internal/rpccluster
+	$(GO) test -race -short ./internal/federation ./internal/service ./internal/web ./internal/loadgen ./internal/rpccluster ./cmd/hadard
 
 # stress re-runs the live control plane's suite several times under the
 # race detector: the heartbeat/reconnect/chaos paths are the only truly

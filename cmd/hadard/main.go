@@ -14,9 +14,11 @@
 // With -clusters N (N > 1) the daemon runs a federation: N independent
 // member clusters, each with its own scheduler instance, advanced on
 // one shared clock, with the -router policy picking the owning member
-// for every submission at the front door. The same HTTP surface is
-// served; job queries additionally report the owning member. -wal is
-// single-cluster only.
+// for every submission at the front door. It is served by the same
+// service loop (service.FedService) and the same HTTP handlers as a
+// single cluster; job queries and unkeyed submissions additionally
+// report the owning member. -wal is single-cluster only. Every flag is
+// validated before either mode is set up: a bad value exits 2.
 //
 // The HTTP surface combines the dashboard (/, /jobs, /api/summary)
 // with the live control API:
@@ -51,6 +53,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -67,6 +70,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/federation"
 	"repro/internal/loadgen"
+	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/sched"
 	"repro/internal/service"
@@ -76,179 +80,229 @@ import (
 )
 
 func main() {
-	var (
-		schedName  = flag.String("scheduler", "hadar", "scheduler: hadar, hadar-makespan, gavel, tiresias, yarn-cs, allox, ref-fifo, ref-srtf")
-		clusterSel = flag.String("cluster", "sim", "cluster config: sim (60 GPUs) or physical (8 GPUs)")
-		addr       = flag.String("addr", ":8080", "HTTP listen address")
-		clockSel   = flag.String("clock", "virtual", "round pacing: virtual (as fast as possible) or wall")
-		interval   = flag.Duration("interval", 50*time.Millisecond, "wall time per round boundary in -clock wall mode")
-		queue      = flag.Int("queue", 64, "admission queue depth (backpressure beyond this)")
-		roundMin   = flag.Float64("round", 6, "scheduling round length (simulated minutes)")
-		validate   = flag.Bool("validate", true, "run the invariant oracle on every round")
-		addrFile   = flag.String("addr-file", "", "write the bound listen address to this file (use with -addr 127.0.0.1:0)")
-		drainWait  = flag.Duration("drain", 5*time.Second, "graceful-shutdown deadline for in-flight HTTP requests")
-
-		clusters  = flag.Int("clusters", 1, "number of federated member clusters (1 = single-cluster mode)")
-		routerSel = flag.String("router", "least-queue", "federation routing policy: round-robin, least-queue, affinity, price")
-
-		walDir     = flag.String("wal", "", "write-ahead journal directory (empty = no durability)")
-		recoverWAL = flag.Bool("recover", false, "resume from the journal and checkpoint in -wal")
-		fsyncSel   = flag.String("fsync", "group", "journal fsync policy: always, group, or off")
-		fsyncEvery = flag.Duration("fsync-interval", 2*time.Millisecond, "longest a verdict waits for its group fsync (-fsync group)")
-		ckptEvery  = flag.Int("checkpoint-every", 256, "journal records between engine checkpoints")
-
-		smoke        = flag.Bool("smoke", false, "run the internal load-generator smoke test and exit")
-		smokeJobs    = flag.Int("smoke-jobs", 120, "smoke: number of jobs to generate")
-		smokeModel   = flag.String("smoke-model", "bursty", "smoke: arrival model poisson, diurnal, or bursty")
-		smokeRate    = flag.Float64("smoke-rate", 0.05, "smoke: mean arrival rate (jobs per virtual second)")
-		smokeSeed    = flag.Int64("smoke-seed", 1, "smoke: workload seed")
-		smokeTimeout = flag.Duration("smoke-timeout", 120*time.Second, "smoke: wall-clock budget for the whole run")
-	)
-	flag.Parse()
-
-	s, err := pickScheduler(*schedName)
+	cfg, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
 		os.Exit(2)
 	}
-	c, err := pickCluster(*clusterSel)
+	if cfg.opts.WAL != nil {
+		cfg.opts.WAL.FailPoint = crashFailPoint()
+	}
+	s, _ := pickScheduler(cfg.schedName) // validated by parseFlags
+	c, _ := pickCluster(cfg.clusterName)
+
+	if cfg.clusters > 1 {
+		members := make([]federation.MemberConfig, cfg.clusters)
+		for i := range members {
+			ms, _ := pickScheduler(cfg.schedName)
+			mc, _ := pickCluster(cfg.clusterName)
+			members[i] = federation.MemberConfig{Name: fmt.Sprintf("region%d", i), Cluster: mc, Scheduler: ms, Sim: cfg.opts.Sim}
+		}
+		fed, err := federation.New(members, cfg.router, federation.Options{Validate: cfg.opts.Sim.Validate})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
+			os.Exit(1)
+		}
+		svc, err := service.NewFed(fed, cfg.opts)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
+			os.Exit(1)
+		}
+		banner := fmt.Sprintf("hadard: %s federation — %d x %s clusters (%d GPUs total), %s router, %s clock, queue depth %d",
+			s.Name(), cfg.clusters, cfg.clusterName, cfg.clusters*c.TotalGPUs(), cfg.router.Name(), cfg.opts.Clock, cfg.opts.QueueDepth)
+		os.Exit(run(svc, cfg, banner, fedProgress, func(r *federation.Report) string { return r.Merged.Scheduler }))
+	}
+
+	svc, err := service.New(c, s, cfg.opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
-		os.Exit(2)
+		os.Exit(1)
+	}
+	if r := svc.Recovery(); r != nil {
+		doc, _ := json.Marshal(r)
+		fmt.Printf("hadard: recovered: %s\n", doc)
+	}
+	banner := fmt.Sprintf("hadard: %s on %s cluster (%d GPUs), %s clock, queue depth %d",
+		s.Name(), cfg.clusterName, c.TotalGPUs(), cfg.opts.Clock, cfg.opts.QueueDepth)
+	os.Exit(run(svc, cfg, banner, engineProgress, func(r *metrics.Report) string { return r.Scheduler }))
+}
+
+// config is hadard's command line, every value already validated.
+type config struct {
+	schedName   string
+	clusterName string
+	addr        string
+	addrFile    string
+	drain       time.Duration
+	clusters    int
+	router      federation.Router
+	opts        service.Options
+
+	smoke        bool
+	smokeLoad    loadgen.Config
+	smokeTimeout time.Duration
+}
+
+// parseFlags parses and validates the command line. It checks every
+// value, whichever mode the other flags select, before anything is
+// built, so a bad value is always refused.
+func parseFlags(args []string) (*config, error) {
+	cfg := &config{}
+	fs := flag.NewFlagSet("hadard", flag.ContinueOnError)
+	fs.StringVar(&cfg.schedName, "scheduler", "hadar", "scheduler: hadar, hadar-makespan, gavel, tiresias, yarn-cs, allox, ref-fifo, ref-srtf")
+	fs.StringVar(&cfg.clusterName, "cluster", "sim", "cluster config: sim (60 GPUs) or physical (8 GPUs)")
+	fs.StringVar(&cfg.addr, "addr", ":8080", "HTTP listen address")
+	clockSel := fs.String("clock", "virtual", "round pacing: virtual (as fast as possible) or wall")
+	interval := fs.Duration("interval", 50*time.Millisecond, "wall time per round boundary in -clock wall mode")
+	queue := fs.Int("queue", 64, "admission queue depth (backpressure beyond this)")
+	roundMin := fs.Float64("round", 6, "scheduling round length (simulated minutes)")
+	validate := fs.Bool("validate", true, "run the invariant oracle on every round")
+	fs.StringVar(&cfg.addrFile, "addr-file", "", "write the bound listen address to this file (use with -addr 127.0.0.1:0)")
+	fs.DurationVar(&cfg.drain, "drain", 5*time.Second, "graceful-shutdown deadline for in-flight HTTP requests")
+
+	fs.IntVar(&cfg.clusters, "clusters", 1, "number of federated member clusters (1 = single-cluster mode)")
+	routerSel := fs.String("router", "least-queue", "federation routing policy: round-robin, least-queue, affinity, price")
+
+	walDir := fs.String("wal", "", "write-ahead journal directory (empty = no durability)")
+	recoverWAL := fs.Bool("recover", false, "resume from the journal and checkpoint in -wal")
+	fsyncSel := fs.String("fsync", "group", "journal fsync policy: always, group, or off")
+	fsyncEvery := fs.Duration("fsync-interval", 2*time.Millisecond, "longest a verdict waits for its group fsync (-fsync group)")
+	ckptEvery := fs.Int("checkpoint-every", 256, "journal records between engine checkpoints")
+
+	fs.BoolVar(&cfg.smoke, "smoke", false, "run the internal load-generator smoke test and exit")
+	smokeJobs := fs.Int("smoke-jobs", 120, "smoke: number of jobs to generate")
+	smokeModel := fs.String("smoke-model", "bursty", "smoke: arrival model poisson, diurnal, or bursty")
+	smokeRate := fs.Float64("smoke-rate", 0.05, "smoke: mean arrival rate (jobs per virtual second)")
+	smokeSeed := fs.Int64("smoke-seed", 1, "smoke: workload seed")
+	fs.DurationVar(&cfg.smokeTimeout, "smoke-timeout", 120*time.Second, "smoke: wall-clock budget for the whole run")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+
+	if _, err := pickScheduler(cfg.schedName); err != nil {
+		return nil, err
+	}
+	if _, err := pickCluster(cfg.clusterName); err != nil {
+		return nil, err
+	}
+	clock := service.VirtualClock
+	switch *clockSel {
+	case "virtual":
+	case "wall":
+		clock = service.WallClock
+	default:
+		return nil, fmt.Errorf("unknown clock %q", *clockSel)
+	}
+	if *walDir == "" && *recoverWAL {
+		return nil, errors.New("-recover requires -wal")
+	}
+	if cfg.clusters < 1 {
+		return nil, fmt.Errorf("-clusters must be at least 1, got %d", cfg.clusters)
+	}
+	if cfg.clusters > 1 && *walDir != "" {
+		return nil, errors.New("-wal is not supported with -clusters > 1 (the journal covers a single engine)")
+	}
+	router, err := federation.NewRouter(*routerSel)
+	if err != nil {
+		return nil, err
+	}
+	pol, err := wal.ParsePolicy(*fsyncSel)
+	if err != nil {
+		return nil, err
+	}
+	var model loadgen.Model
+	switch *smokeModel {
+	case "poisson":
+		model = loadgen.Poisson
+	case "diurnal":
+		model = loadgen.Diurnal
+	case "bursty":
+		model = loadgen.Bursty
+	default:
+		return nil, fmt.Errorf("unknown smoke model %q", *smokeModel)
 	}
 
 	simOpts := sim.DefaultOptions()
 	simOpts.RoundLength = *roundMin * 60
 	simOpts.Validate = *validate
-	opts := service.Options{
-		Sim:           simOpts,
-		QueueDepth:    *queue,
-		RoundInterval: *interval,
-	}
-	if *clockSel == "wall" {
-		opts.Clock = service.WallClock
-	} else if *clockSel != "virtual" {
-		fmt.Fprintf(os.Stderr, "hadard: unknown clock %q\n", *clockSel)
-		os.Exit(2)
-	}
-	if *walDir == "" && *recoverWAL {
-		fmt.Fprintln(os.Stderr, "hadard: -recover requires -wal")
-		os.Exit(2)
-	}
-	if *clusters < 1 {
-		fmt.Fprintf(os.Stderr, "hadard: -clusters must be at least 1, got %d\n", *clusters)
-		os.Exit(2)
-	}
-	if *clusters > 1 && *walDir != "" {
-		fmt.Fprintln(os.Stderr, "hadard: -wal is not supported with -clusters > 1 (the journal covers a single engine)")
-		os.Exit(2)
-	}
+	cfg.router = router
+	cfg.opts = service.Options{Sim: simOpts, QueueDepth: *queue, Clock: clock, RoundInterval: *interval}
 	if *walDir != "" {
-		pol, err := wal.ParsePolicy(*fsyncSel)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
-			os.Exit(2)
-		}
-		opts.WAL = &service.WALConfig{
+		cfg.opts.WAL = &service.WALConfig{
 			Dir:             *walDir,
 			Policy:          pol,
 			GroupInterval:   *fsyncEvery,
 			CheckpointEvery: *ckptEvery,
 			Recover:         *recoverWAL,
-			FailPoint:       crashFailPoint(),
 		}
 	}
+	cfg.smokeLoad = loadgen.Config{
+		Model:     model,
+		Jobs:      *smokeJobs,
+		Seed:      *smokeSeed,
+		Rate:      *smokeRate,
+		Amplitude: 0.5,
+		BurstSize: 16,
+		BurstGap:  3600,
+	}
+	return cfg, nil
+}
 
-	// Build either the single-engine service or the federated front
-	// door; everything past this point (smoke, HTTP serving, graceful
-	// shutdown) is mode-agnostic.
-	var (
-		handler http.Handler
-		stopSvc func() error
-		smokeFn func() int
-		banner  string
-	)
-	if *clusters > 1 {
-		router, err := federation.NewRouter(*routerSel)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
-			os.Exit(2)
-		}
-		members := make([]federation.MemberConfig, *clusters)
-		for i := range members {
-			mc, err := pickCluster(*clusterSel)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
-				os.Exit(2)
-			}
-			ms, err := pickScheduler(*schedName)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
-				os.Exit(2)
-			}
-			members[i] = federation.MemberConfig{
-				Name:      fmt.Sprintf("region%d", i),
-				Cluster:   mc,
-				Scheduler: ms,
-				Sim:       simOpts,
-			}
-		}
-		fsvc, err := service.NewFed(members, router, service.FedOptions{
-			Federation:    federation.Options{Validate: *validate},
-			QueueDepth:    *queue,
-			Clock:         opts.Clock,
-			RoundInterval: *interval,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
-			os.Exit(1)
-		}
-		fsvc.Start()
-		handler = web.NewFedServer(fsvc).Handler()
-		stopSvc = func() error { _, err := fsvc.Stop(); return err }
-		smokeFn = func() int {
-			return runFedSmoke(fsvc, *smokeJobs, *smokeModel, *smokeRate, *smokeSeed, *smokeTimeout)
-		}
-		banner = fmt.Sprintf("hadard: %s federation — %d x %s clusters (%d GPUs total), %s router, %s clock, queue depth %d",
-			s.Name(), *clusters, *clusterSel, *clusters*c.TotalGPUs(), router.Name(), *clockSel, *queue)
-	} else {
-		svc, err := service.New(c, s, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
-			os.Exit(1)
-		}
-		if r := svc.Recovery(); r != nil {
-			doc, _ := json.Marshal(r)
-			fmt.Printf("hadard: recovered: %s\n", doc)
-		}
-		svc.Start()
-		handler = web.NewLiveServer(svc).Handler()
-		stopSvc = func() error { _, err := svc.Stop(); return err }
-		smokeFn = func() int {
-			return runSmoke(svc, *smokeJobs, *smokeModel, *smokeRate, *smokeSeed, *smokeTimeout)
-		}
-		banner = fmt.Sprintf("hadard: %s on %s cluster (%d GPUs), %s clock, queue depth %d",
-			s.Name(), *clusterSel, c.TotalGPUs(), *clockSel, *queue)
+// served is what hadard runs, whichever mode: *service.Service or
+// *service.FedService, publishing *S and finishing with *R.
+type served[S, R any] interface {
+	web.LiveService[S]
+	Start()
+	Stop() (*R, error)
+}
+
+// progress is what the smoke run reads from a published snapshot;
+// detail breaks completions down per member in a federation.
+type progress struct {
+	completed, cancelled int
+	now                  float64
+	detail               string
+}
+
+func engineProgress(s *sim.Snapshot) progress {
+	return progress{completed: s.Completed, cancelled: s.Cancelled, now: s.Now}
+}
+
+func fedProgress(s *federation.FedSnapshot) progress {
+	perMember := make([]string, 0, len(s.Members))
+	for i := range s.Members {
+		perMember = append(perMember, fmt.Sprintf("%s=%d", s.Members[i].Name, s.Members[i].Snap.Completed))
+	}
+	return progress{completed: s.Completed, cancelled: s.Cancelled, now: s.Now,
+		detail: " (" + strings.Join(perMember, " ") + ")"}
+}
+
+// run starts svc and either drives the smoke test or serves HTTP until
+// a shutdown signal; it returns the process exit code. scheduler names
+// the policy in a final report.
+func run[S, R any](svc served[S, R], cfg *config, banner string, view func(*S) progress, scheduler func(*R) string) int {
+	svc.Start()
+	if cfg.smoke {
+		return runSmoke(svc, cfg, view, scheduler)
 	}
 
-	if *smoke {
-		os.Exit(smokeFn())
-	}
-
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
+	if cfg.addrFile != "" {
+		if err := os.WriteFile(cfg.addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 	fmt.Printf("%s — listening on %s\n", banner, ln.Addr())
 
-	srv := &http.Server{Handler: handler}
+	srv := &http.Server{Handler: web.NewLiveServer(svc).Handler()}
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	serveErr := make(chan error, 1)
@@ -256,7 +310,7 @@ func main() {
 	select {
 	case err := <-serveErr:
 		fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
-		os.Exit(1)
+		return 1
 	case <-ctx.Done():
 	}
 	stopSignals() // a second signal kills immediately
@@ -266,16 +320,17 @@ func main() {
 	// deferred group commits, writes a final checkpoint, and closes the
 	// journal. After this a -recover restart replays nothing.
 	fmt.Println("hadard: shutdown signal — draining")
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
+	drainCtx, cancel := context.WithTimeout(context.Background(), cfg.drain)
 	defer cancel()
 	if err := srv.Shutdown(drainCtx); err != nil {
 		fmt.Fprintf(os.Stderr, "hadard: http drain: %v\n", err)
 	}
-	if err := stopSvc(); err != nil {
+	if _, err := svc.Stop(); err != nil {
 		fmt.Fprintf(os.Stderr, "hadard: stop: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Println("hadard: clean shutdown")
+	return 0
 }
 
 // crashFailPoint arms the chaos harness's mid-append kill. When
@@ -354,35 +409,16 @@ type smokeReport struct {
 }
 
 // runSmoke drives a seeded workload through the service, waits for
-// completion, and verifies the run was clean. Returns the process exit
-// code.
-func runSmoke(svc *service.Service, jobs int, modelName string, rate float64, seed int64, budget time.Duration) int {
-	var model loadgen.Model
-	switch modelName {
-	case "poisson":
-		model = loadgen.Poisson
-	case "diurnal":
-		model = loadgen.Diurnal
-	case "bursty":
-		model = loadgen.Bursty
-	default:
-		fmt.Fprintf(os.Stderr, "hadard: unknown smoke model %q\n", modelName)
-		return 2
-	}
-	cfg := loadgen.Config{
-		Model:     model,
-		Jobs:      jobs,
-		Seed:      seed,
-		Rate:      rate,
-		Amplitude: 0.5,
-		BurstSize: 16,
-		BurstGap:  3600,
-	}
-	trace, err := loadgen.Generate(cfg)
+// every accepted job to reach a terminal phase, and verifies the run
+// was clean (zero invariant violations on every member). Returns the
+// process exit code.
+func runSmoke[S, R any](svc served[S, R], cfg *config, view func(*S) progress, scheduler func(*R) string) int {
+	trace, err := loadgen.Generate(cfg.smokeLoad)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hadard: smoke: %v\n", err)
 		return 1
 	}
+	budget := cfg.smokeTimeout
 	start := time.Now()
 	res, err := loadgen.Drive(svc, trace, loadgen.DriveOptions{MaxDuration: budget})
 	if err != nil {
@@ -394,13 +430,13 @@ func runSmoke(svc *service.Service, jobs int, modelName string, rate float64, se
 	// the wall budget.
 	deadline := start.Add(budget)
 	for {
-		snap := svc.Snapshot()
-		if snap.Completed+snap.Cancelled >= res.Submitted {
+		p := view(svc.Snapshot())
+		if p.completed+p.cancelled >= res.Submitted {
 			break
 		}
 		if time.Now().After(deadline) {
 			fmt.Fprintf(os.Stderr, "hadard: smoke: %d of %d jobs unfinished after %v\n",
-				res.Submitted-snap.Completed-snap.Cancelled, res.Submitted, budget)
+				res.Submitted-p.completed-p.cancelled, res.Submitted, budget)
 			return 1
 		}
 		time.Sleep(20 * time.Millisecond)
@@ -416,15 +452,15 @@ func runSmoke(svc *service.Service, jobs int, modelName string, rate float64, se
 		return 1
 	}
 
-	snap := svc.Snapshot()
+	p := view(svc.Snapshot())
 	out := smokeReport{
-		Scheduler:   report.Scheduler,
-		Model:       model.String(),
+		Scheduler:   scheduler(report),
+		Model:       cfg.smokeLoad.Model.String(),
 		Drive:       res,
 		SubmitRate:  res.PerSecond(),
 		Stats:       svc.Stats(),
-		Completed:   snap.Completed,
-		SimSeconds:  snap.Now,
+		Completed:   p.completed,
+		SimSeconds:  p.now,
 		WallSeconds: time.Since(start).Seconds(),
 	}
 	enc := json.NewEncoder(os.Stdout)
@@ -433,97 +469,7 @@ func runSmoke(svc *service.Service, jobs int, modelName string, rate float64, se
 		fmt.Fprintf(os.Stderr, "hadard: smoke: %v\n", err)
 		return 1
 	}
-	fmt.Printf("hadard: smoke OK: %d jobs accepted, %d completed, %d rounds, 0 invariant violations\n",
-		res.Submitted, snap.Completed, svc.Stats().Rounds)
-	return 0
-}
-
-// runFedSmoke is runSmoke against the federated front door: the same
-// seeded workload drives the router and the shared-clock loop, waits
-// for every accepted job to reach a terminal phase on its owning
-// member, and fails on any member-level or federation-level invariant
-// violation.
-func runFedSmoke(svc *service.FedService, jobs int, modelName string, rate float64, seed int64, budget time.Duration) int {
-	var model loadgen.Model
-	switch modelName {
-	case "poisson":
-		model = loadgen.Poisson
-	case "diurnal":
-		model = loadgen.Diurnal
-	case "bursty":
-		model = loadgen.Bursty
-	default:
-		fmt.Fprintf(os.Stderr, "hadard: unknown smoke model %q\n", modelName)
-		return 2
-	}
-	cfg := loadgen.Config{
-		Model:     model,
-		Jobs:      jobs,
-		Seed:      seed,
-		Rate:      rate,
-		Amplitude: 0.5,
-		BurstSize: 16,
-		BurstGap:  3600,
-	}
-	trace, err := loadgen.Generate(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hadard: smoke: %v\n", err)
-		return 1
-	}
-	start := time.Now()
-	res, err := loadgen.Drive(svc, trace, loadgen.DriveOptions{MaxDuration: budget})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hadard: smoke: drive failed: %v\n", err)
-		return 1
-	}
-
-	deadline := start.Add(budget)
-	for {
-		snap := svc.Snapshot()
-		if snap.Completed+snap.Cancelled >= res.Submitted {
-			break
-		}
-		if time.Now().After(deadline) {
-			fmt.Fprintf(os.Stderr, "hadard: smoke: %d of %d jobs unfinished after %v\n",
-				res.Submitted-snap.Completed-snap.Cancelled, res.Submitted, budget)
-			return 1
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	report, err := svc.Stop()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hadard: smoke: invariant violation or member failure: %v\n", err)
-		return 1
-	}
-	if res.Submitted == 0 {
-		fmt.Fprintln(os.Stderr, "hadard: smoke: zero accepted submissions")
-		return 1
-	}
-
-	snap := svc.Snapshot()
-	out := smokeReport{
-		Scheduler:   report.Merged.Scheduler,
-		Model:       model.String(),
-		Drive:       res,
-		SubmitRate:  res.PerSecond(),
-		Stats:       svc.Stats(),
-		Completed:   snap.Completed,
-		SimSeconds:  snap.Now,
-		WallSeconds: time.Since(start).Seconds(),
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fmt.Fprintf(os.Stderr, "hadard: smoke: %v\n", err)
-		return 1
-	}
-	perMember := make([]string, 0, len(snap.Members))
-	for i := range snap.Members {
-		perMember = append(perMember,
-			fmt.Sprintf("%s=%d", snap.Members[i].Name, snap.Members[i].Snap.Completed))
-	}
-	fmt.Printf("hadard: fed-smoke OK: %d jobs accepted, %d completed (%s), %d boundaries, 0 invariant violations\n",
-		res.Submitted, snap.Completed, strings.Join(perMember, " "), svc.Stats().Rounds)
+	fmt.Printf("hadard: smoke OK: %d jobs accepted, %d completed%s, %d rounds, 0 invariant violations\n",
+		res.Submitted, p.completed, p.detail, svc.Stats().Rounds)
 	return 0
 }

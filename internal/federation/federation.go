@@ -11,9 +11,10 @@
 // member at submission time, and cancels and queries are forwarded to
 // that owner for the rest of the job's life.
 //
-// Like sim.Engine, a Federation is single-goroutine: a long-lived
-// service wraps it in one owning goroutine (service.FedService) and
-// publishes immutable FedSnapshots for concurrent readers.
+// Like sim.Engine, a Federation is single-goroutine: the long-lived
+// scheduler service runs it on the same serving loop as a single
+// engine (service.NewFed), one owning goroutine that publishes
+// immutable FedSnapshots for concurrent readers.
 package federation
 
 import (
@@ -68,7 +69,7 @@ type member struct {
 //
 // A Federation is not safe for concurrent use: like the engines it
 // owns, it is single-owner state, mutated only by the goroutine that
-// drives it (see internal/service.FedService) and read through
+// drives it (the service loop, see service.NewFed) and read through
 // immutable FedSnapshots.
 type Federation struct {
 	members []*member

@@ -70,19 +70,7 @@ func (s *FedSnapshot) FindJob(id int) (member, phase string, js *sim.JobSnapshot
 	if snap == nil {
 		return member, "", nil, nil, true
 	}
-	phase = snap.Phases[id]
-	for i := range snap.Active {
-		if snap.Active[i].ID == id {
-			js = &snap.Active[i]
-			break
-		}
-	}
-	for i := range snap.Report.Jobs {
-		if snap.Report.Jobs[i].ID == id {
-			res = &snap.Report.Jobs[i]
-			break
-		}
-	}
+	phase, js, res, _ = snap.FindJob(id)
 	return member, phase, js, res, true
 }
 

@@ -79,3 +79,44 @@ func (s *Server) HandleBadHelper(r request) {
 func (s *Server) ack(r request) {
 	r.reply <- nil // want "walorder: reply sent before WAL append"
 }
+
+// stepper is the contract a generic serving loop drives; *Engine
+// satisfies it, so calls through it apply guarded state.
+type stepper interface {
+	Apply(x int) error
+}
+
+// Loop drives its engine only through the stepper interface.
+type Loop[S any] struct {
+	eng     stepper
+	journal *Journal
+	last    *S
+}
+
+// HandleGood follows the contract through interface dispatch.
+func (l *Loop[S]) HandleGood(r request) {
+	if err := l.eng.Apply(r.x); err != nil {
+		r.reply <- err
+		return
+	}
+	if l.journal == nil {
+		r.reply <- nil
+		return
+	}
+	if err := l.journal.Append(r.x); err != nil {
+		r.reply <- err
+		return
+	}
+	r.reply <- nil
+}
+
+// HandleBad acknowledges before the append; the apply is a dynamic
+// call, resolved to Engine.Apply.
+func (l *Loop[S]) HandleBad(r request) {
+	if err := l.eng.Apply(r.x); err != nil {
+		r.reply <- err
+		return
+	}
+	r.reply <- nil // want "walorder: reply sent before WAL append"
+	_ = l.journal.Append(r.x)
+}

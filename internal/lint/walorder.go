@@ -224,16 +224,32 @@ func isErrGuard(cond ast.Expr) bool {
 
 // isApplyCall matches calls to receiver-mutating methods of guarded
 // types: the request being applied to the single-owner engine state.
+// A call through an interface (the service loop's stepper) applies
+// when any module method it may dispatch to is such a method.
 func (w *walChecker) isApplyCall(n *FuncNode, call *ast.CallExpr) bool {
-	callee, _ := w.m.resolveCallee(n.Pkg, call)
+	callee, iface := w.m.resolveCallee(n.Pkg, call)
 	if callee == nil {
 		return false
 	}
-	rb := receiverBase(callee)
+	if iface {
+		for _, impl := range w.m.implementers(callee) {
+			if w.appliesGuarded(impl.Obj) {
+				return true
+			}
+		}
+		return false
+	}
+	return w.appliesGuarded(callee)
+}
+
+// appliesGuarded reports whether fn is a receiver-mutating method of a
+// guarded type.
+func (w *walChecker) appliesGuarded(fn *types.Func) bool {
+	rb := receiverBase(fn)
 	if rb == nil || !w.guarded[rb.Origin()] {
 		return false
 	}
-	cn := w.m.node(callee)
+	cn := w.m.node(fn)
 	return cn != nil && cn.mutatesReceiver()
 }
 

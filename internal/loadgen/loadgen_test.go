@@ -230,7 +230,8 @@ func TestDriveAgainstLiveService(t *testing.T) {
 
 // TestDriveAgainstFederatedService drives the same closed loop against
 // the federated front door: the driver needs no changes (FedService
-// satisfies Target and KeyedTarget), the router spreads the burst
+// runs on Service's serving loop, so it satisfies Target and
+// KeyedTarget the same way), the router spreads the burst
 // across members, and every accepted job completes on its owning
 // member with per-member completions summing to the total.
 func TestDriveAgainstFederatedService(t *testing.T) {
@@ -247,11 +248,11 @@ func TestDriveAgainstFederatedService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := service.NewFed(members, router, service.FedOptions{
-		Federation: federation.Options{Validate: true},
-		QueueDepth: 8,
-		RetryAfter: time.Millisecond,
-	})
+	fed, err := federation.New(members, router, federation.Options{Validate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := service.NewFed(fed, service.Options{QueueDepth: 8, RetryAfter: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,203 +1,35 @@
 package service
 
 import (
-	"sync"
-	"sync/atomic"
-	"time"
+	"errors"
 
 	"repro/internal/federation"
-	"repro/internal/job"
 	"repro/internal/metrics"
 )
 
-// FedOptions configures a federated service: the same admission-queue
-// and clock knobs as Options, applied to a federation.Federation
-// instead of a single engine. There is no WAL mode — durability for
-// federated deployments is per-member state reconstruction, a separate
-// concern from the front door.
-type FedOptions struct {
-	// Federation configures federation-level validation.
-	Federation federation.Options
-	// QueueDepth bounds the admission queue (default 64).
-	QueueDepth int
-	// RetryAfter is the backpressure hint attached to BusyError.
-	RetryAfter time.Duration
-	// Clock selects virtual (as-fast-as-possible) or wall-paced rounds.
-	Clock ClockMode
-	// RoundInterval is the real time per round boundary in WallClock
-	// mode (default 50ms).
-	RoundInterval time.Duration
-	// RequestTimeout bounds how long Submit/Cancel wait for a verdict
-	// (default 30s; negative disables).
-	RequestTimeout time.Duration
-}
-
-func (o *FedOptions) normalize() {
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 64
-	}
-	if o.RoundInterval <= 0 {
-		o.RoundInterval = 50 * time.Millisecond
-	}
-	if o.RetryAfter <= 0 {
-		if o.Clock == WallClock {
-			o.RetryAfter = o.RoundInterval
-		} else {
-			o.RetryAfter = 10 * time.Millisecond
-		}
-	}
-	if o.RequestTimeout == 0 {
-		o.RequestTimeout = 30 * time.Second
-	}
-}
-
-// FedService fronts a federation.Federation with the same contract as
-// Service: one goroutine owns the federation and is the only code that
-// touches it; Submit/Cancel enqueue on a bounded channel and fail fast
-// with *BusyError under load; readers get immutable FedSnapshots from
-// an atomic pointer and never contend with the scheduler loop. Create
-// with NewFed, then Start; all exported methods are safe for
-// concurrent use.
+// FedService serves a federation.Federation on the same loop as
+// Service: the router picks each submission's owning member at the
+// front door, cancels are forwarded to the owner, and readers get
+// immutable FedSnapshots. A federation has no journal, so every
+// verdict is released as soon as it is applied. Create with NewFed,
+// then Start; all exported methods are safe for concurrent use.
 type FedService struct {
-	opts FedOptions
-
-	fed  *federation.Federation // owned by the run goroutine after Start
-	reqs chan request
-
-	startOnce sync.Once
-	stopOnce  sync.Once
-	stop      chan struct{}
-	stopped   chan struct{}
-
-	snap atomic.Pointer[federation.FedSnapshot]
-
-	accepted        atomic.Int64
-	rejectedBusy    atomic.Int64
-	rejectedInvalid atomic.Int64
-	cancelled       atomic.Int64
-	deduped         atomic.Int64
-	rounds          atomic.Int64
-	nextID          atomic.Int64
-
-	// keys is the in-memory idempotency ledger (owned by the run
-	// goroutine): submission key -> accepted job ID.
-	keys map[string]int
-
-	// finalReport/finalErr are written by the run goroutine before it
-	// closes stopped and read only after <-stopped.
-	finalReport *federation.Report
-	finalErr    error
+	loop[federation.FedSnapshot, federation.Report]
 }
 
-// NewFed builds a federated service over fresh member engines. The
-// service is inert until Start; requests submitted before Start wait
-// in the admission queue.
-func NewFed(members []federation.MemberConfig, router federation.Router, opts FedOptions) (*FedService, error) {
-	opts.normalize()
-	fed, err := federation.New(members, router, opts.Federation)
-	if err != nil {
-		return nil, err
+// NewFed builds a service over fed, which the service owns from here
+// on. opts.Sim does not apply (members carry their own engine options)
+// and opts.WAL must be nil. The service is inert until Start; requests
+// submitted before Start wait in the admission queue.
+func NewFed(fed *federation.Federation, opts Options) (*FedService, error) {
+	if opts.WAL != nil {
+		return nil, errors.New("service: a federation has no write-ahead journal")
 	}
-	s := &FedService{
-		opts:    opts,
-		fed:     fed,
-		keys:    make(map[string]int),
-		reqs:    make(chan request, opts.QueueDepth),
-		stop:    make(chan struct{}),
-		stopped: make(chan struct{}),
-	}
+	s := &FedService{}
+	s.init(fed, opts, make(map[string]int))
 	s.nextID.Store(1 << 20)
 	s.snap.Store(fed.Snapshot())
 	return s, nil
-}
-
-// Start launches the federation goroutine. Safe to call once; later
-// calls are no-ops.
-func (s *FedService) Start() {
-	s.startOnce.Do(func() { go s.run() })
-}
-
-// Stop shuts the loop down, drains the admission queue with ErrStopped
-// replies, finalizes every member, and returns the federation report.
-// Safe to call multiple times; every call returns the same result.
-func (s *FedService) Stop() (*federation.Report, error) {
-	s.Start()
-	s.stopOnce.Do(func() { close(s.stop) })
-	<-s.stopped
-	return s.finalReport, s.finalErr
-}
-
-// Submit routes the job through the federation's front door at the
-// next opportunity. Backpressure and shutdown behave exactly as in
-// Service.Submit.
-func (s *FedService) Submit(j *job.Job) error {
-	return s.send(request{kind: submitReq, job: j, reply: make(chan verdict, 1)}).err
-}
-
-// SubmitKeyed is Submit with an idempotency key: resubmitting the same
-// key returns the originally accepted job's ID with deduped true. The
-// ledger is in-memory (federation mode has no WAL).
-func (s *FedService) SubmitKeyed(key string, j *job.Job) (id int, deduped bool, err error) {
-	v := s.send(request{kind: submitReq, job: j, key: key, reply: make(chan verdict, 1)})
-	return v.id, v.deduped, v.err
-}
-
-// Cancel withdraws a submitted job; the federation forwards it to the
-// owning member.
-func (s *FedService) Cancel(id int) error {
-	return s.send(request{kind: cancelReq, id: id, reply: make(chan verdict, 1)}).err
-}
-
-func (s *FedService) send(r request) verdict {
-	select {
-	case <-s.stopped:
-		return verdict{err: ErrStopped}
-	default:
-	}
-	select {
-	case s.reqs <- r:
-	default:
-		s.rejectedBusy.Add(1)
-		return verdict{err: &BusyError{RetryAfter: s.opts.RetryAfter}}
-	}
-	var deadline <-chan time.Time
-	if s.opts.RequestTimeout > 0 {
-		t := time.NewTimer(s.opts.RequestTimeout)
-		defer t.Stop()
-		deadline = t.C
-	}
-	select {
-	case v := <-r.reply:
-		return v
-	case <-s.stopped:
-		select {
-		case v := <-r.reply:
-			return v
-		default:
-			return verdict{err: ErrStopped}
-		}
-	case <-deadline:
-		return verdict{err: &DeadError{Waited: s.opts.RequestTimeout}}
-	}
-}
-
-// NextID returns a fresh job ID from the service's own range.
-func (s *FedService) NextID() int { return int(s.nextID.Add(1)) }
-
-// Snapshot returns the most recently published immutable federation
-// view. It never blocks and never observes a half-updated member.
-func (s *FedService) Snapshot() *federation.FedSnapshot { return s.snap.Load() }
-
-// Stats returns the cumulative admission-control counters.
-func (s *FedService) Stats() Stats {
-	return Stats{
-		Accepted:        s.accepted.Load(),
-		RejectedBusy:    s.rejectedBusy.Load(),
-		RejectedInvalid: s.rejectedInvalid.Load(),
-		Cancelled:       s.cancelled.Load(),
-		Deduped:         s.deduped.Load(),
-		Rounds:          s.rounds.Load(),
-	}
 }
 
 // Order implements the web dashboard's Provider interface: one entry
@@ -219,129 +51,4 @@ func (s *FedService) Report(name string) (*metrics.Report, bool) {
 		return nil, false
 	}
 	return m.Report, true
-}
-
-// run is the federation goroutine: the sole owner of s.fed from Start
-// to stopped.
-func (s *FedService) run() {
-	defer close(s.stopped)
-	switch s.opts.Clock {
-	case WallClock:
-		s.runWall()
-	default:
-		s.runVirtual()
-	}
-	s.shutdown()
-}
-
-// runVirtual drains requests and processes member boundaries as fast
-// as possible, blocking only when every member is idle and the queue
-// is empty.
-func (s *FedService) runVirtual() {
-	for {
-		for {
-			select {
-			case r := <-s.reqs:
-				s.handle(r)
-				continue
-			case <-s.stop:
-				return
-			default:
-			}
-			break
-		}
-		if !s.fed.HasPendingEvents() {
-			select {
-			case r := <-s.reqs:
-				s.handle(r)
-			case <-s.stop:
-				return
-			}
-			continue
-		}
-		if !s.processBoundary() {
-			return
-		}
-	}
-}
-
-// runWall paces one member boundary per RoundInterval tick, handling
-// requests between ticks.
-func (s *FedService) runWall() {
-	tick := time.NewTicker(s.opts.RoundInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case r := <-s.reqs:
-			s.handle(r)
-		case <-tick.C:
-			if s.fed.HasPendingEvents() && !s.processBoundary() {
-				return
-			}
-		case <-s.stop:
-			return
-		}
-	}
-}
-
-// processBoundary advances the earliest member one boundary and
-// publishes a fresh snapshot; false means the federation hit a sticky
-// error and the loop must exit.
-func (s *FedService) processBoundary() bool {
-	if err := s.fed.ProcessNextEvent(); err != nil {
-		return false
-	}
-	s.rounds.Add(1)
-	s.snap.Store(s.fed.Snapshot())
-	return true
-}
-
-// handle applies one admission-queue request to the federation.
-func (s *FedService) handle(r request) {
-	switch r.kind {
-	case submitReq:
-		if r.key != "" {
-			if id, ok := s.keys[r.key]; ok {
-				s.deduped.Add(1)
-				r.reply <- verdict{id: id, deduped: true}
-				return
-			}
-		}
-		if err := s.fed.SubmitJob(r.job); err != nil {
-			s.rejectedInvalid.Add(1)
-			r.reply <- verdict{err: err}
-			return
-		}
-		s.accepted.Add(1)
-		if r.key != "" {
-			s.keys[r.key] = r.job.ID
-		}
-		s.snap.Store(s.fed.Snapshot())
-		r.reply <- verdict{id: r.job.ID}
-	case cancelReq:
-		if err := s.fed.CancelJob(r.id); err != nil {
-			r.reply <- verdict{err: err}
-			return
-		}
-		s.cancelled.Add(1)
-		s.snap.Store(s.fed.Snapshot())
-		r.reply <- verdict{id: r.id}
-	}
-}
-
-// shutdown drains the queue and finalizes the federation.
-func (s *FedService) shutdown() {
-	for {
-		select {
-		case r := <-s.reqs:
-			r.reply <- verdict{err: ErrStopped}
-			continue
-		default:
-		}
-		break
-	}
-	// Finish returns the federation's sticky error, if any, so a
-	// poisoned loop and a clean shutdown take the same path.
-	s.finalReport, s.finalErr = s.fed.Finish()
-	s.snap.Store(s.fed.Snapshot())
 }

@@ -8,33 +8,7 @@ import (
 	"time"
 
 	"repro/internal/federation"
-	"repro/internal/sim"
 )
-
-// newTestFedService builds a federated service over n two-node test
-// clusters, each with its own fifo scheduler and validated engine.
-func newTestFedService(t *testing.T, n int, opts FedOptions) *FedService {
-	t.Helper()
-	opts.Federation.Validate = true
-	members := make([]federation.MemberConfig, n)
-	for i := range members {
-		members[i] = federation.MemberConfig{
-			Name:      fmt.Sprintf("region%d", i),
-			Cluster:   twoNodeCluster(),
-			Scheduler: fifo{},
-			Sim:       sim.ValidatedOptions(),
-		}
-	}
-	router, err := federation.NewRouter("least-queue")
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := NewFed(members, router, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return svc
-}
 
 // waitForFed polls the federation snapshot until cond holds or the
 // deadline passes.
@@ -54,76 +28,6 @@ func waitForFed(t *testing.T, svc *FedService, what string, cond func(*federatio
 	}
 }
 
-func TestFedServiceRunsJobsToCompletion(t *testing.T) {
-	svc := newTestFedService(t, 2, FedOptions{})
-	svc.Start()
-	for i := 0; i < 6; i++ {
-		if err := svc.Submit(simpleJob(i, 1+i%2, 5000)); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-	}
-	waitForFed(t, svc, "6 completions", func(s *federation.FedSnapshot) bool { return s.Completed == 6 })
-	report, err := svc.Stop()
-	if err != nil {
-		t.Fatalf("stop: %v", err)
-	}
-	if got := len(report.Merged.Jobs); got != 6 {
-		t.Errorf("merged report has %d jobs, want 6", got)
-	}
-	if len(report.Members) != 2 {
-		t.Errorf("report has %d members, want 2", len(report.Members))
-	}
-	st := svc.Stats()
-	if st.Accepted != 6 || st.RejectedInvalid != 0 || st.Rounds == 0 {
-		t.Errorf("stats = %+v, want 6 accepted, 0 invalid, >0 rounds", st)
-	}
-	// A second Stop returns the same result.
-	again, err2 := svc.Stop()
-	if err2 != nil || again != report {
-		t.Errorf("second Stop = (%p, %v), want same report", again, err2)
-	}
-}
-
-func TestFedServiceValidationAndLifecycleErrors(t *testing.T) {
-	svc := newTestFedService(t, 2, FedOptions{})
-	svc.Start()
-	if err := svc.Submit(simpleJob(0, 1, 100)); err != nil {
-		t.Fatalf("valid submit: %v", err)
-	}
-	if err := svc.Submit(simpleJob(0, 1, 100)); err == nil {
-		t.Error("duplicate ID accepted")
-	}
-	if err := svc.Submit(simpleJob(1, 100, 100)); err == nil {
-		t.Error("unplaceable job accepted")
-	}
-	if err := svc.Cancel(12345); err == nil {
-		t.Error("cancel of unknown job accepted")
-	}
-	if _, err := svc.Stop(); err != nil {
-		t.Fatalf("stop: %v", err)
-	}
-	if err := svc.Submit(simpleJob(9, 1, 100)); !errors.Is(err, ErrStopped) {
-		t.Errorf("submit after stop = %v, want ErrStopped", err)
-	}
-}
-
-func TestFedServiceIdempotencyLedger(t *testing.T) {
-	svc := newTestFedService(t, 2, FedOptions{})
-	svc.Start()
-	defer svc.Stop()
-	id1, dedup1, err := svc.SubmitKeyed("key-a", simpleJob(10, 1, 1000))
-	if err != nil || dedup1 {
-		t.Fatalf("first keyed submit = (%d, %v, %v)", id1, dedup1, err)
-	}
-	id2, dedup2, err := svc.SubmitKeyed("key-a", simpleJob(11, 1, 1000))
-	if err != nil || !dedup2 || id2 != id1 {
-		t.Fatalf("retried keyed submit = (%d, %v, %v), want (%d, true, nil)", id2, dedup2, err, id1)
-	}
-	if svc.Stats().Deduped != 1 {
-		t.Errorf("deduped counter %d, want 1", svc.Stats().Deduped)
-	}
-}
-
 // TestFedServiceConcurrentClients is the shared-clock/snapshot race
 // test: submitters, cancellers, and snapshot readers hammer the
 // federated service from many goroutines while the event loop
@@ -131,7 +35,7 @@ func TestFedServiceIdempotencyLedger(t *testing.T) {
 // proves the copy-on-publish FedSnapshot path and the single-owner
 // federation loop share no unsynchronized state.
 func TestFedServiceConcurrentClients(t *testing.T) {
-	svc := newTestFedService(t, 2, FedOptions{QueueDepth: 256})
+	svc := newTestFedService(t, 2, Options{QueueDepth: 256})
 	svc.Start()
 	const (
 		writers    = 4
@@ -223,84 +127,5 @@ func TestFedServiceConcurrentClients(t *testing.T) {
 	wg.Wait()
 	if _, err := svc.Stop(); err != nil {
 		t.Fatalf("stop: %v", err)
-	}
-}
-
-// TestFedServiceBackpressure fills the admission queue of a wall-paced
-// federation and checks overflow fails fast with the retry hint.
-func TestFedServiceBackpressure(t *testing.T) {
-	svc := newTestFedService(t, 2, FedOptions{
-		QueueDepth:    1,
-		Clock:         WallClock,
-		RoundInterval: time.Hour, // the loop never drains in this test
-		RetryAfter:    123 * time.Millisecond,
-	})
-	// Not started: requests pile into the queue.
-	done := make(chan error, 1)
-	go func() {
-		done <- svc.Submit(simpleJob(0, 1, 100))
-	}()
-	time.Sleep(20 * time.Millisecond) // let the first request occupy the queue
-	sawBusy := false
-	for i := 1; i < 10; i++ {
-		err := svc.Submit(simpleJob(i, 1, 100))
-		var busy *BusyError
-		if errors.As(err, &busy) {
-			if busy.RetryAfter != 123*time.Millisecond {
-				t.Errorf("retry hint %v, want 123ms", busy.RetryAfter)
-			}
-			sawBusy = true
-			break
-		}
-	}
-	if !sawBusy {
-		t.Error("no BusyError from an overfull queue")
-	}
-	svc.Start()
-	if err := <-done; err != nil {
-		t.Errorf("queued submit: %v", err)
-	}
-	if _, err := svc.Stop(); err != nil {
-		t.Fatalf("stop: %v", err)
-	}
-}
-
-// TestFedServiceWallClock checks the wall-paced loop advances members
-// at the configured cadence.
-func TestFedServiceWallClock(t *testing.T) {
-	svc := newTestFedService(t, 2, FedOptions{
-		Clock:         WallClock,
-		RoundInterval: time.Millisecond,
-	})
-	svc.Start()
-	for i := 0; i < 4; i++ {
-		if err := svc.Submit(simpleJob(i, 1, 2000)); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-	}
-	waitForFed(t, svc, "4 completions", func(s *federation.FedSnapshot) bool { return s.Completed == 4 })
-	if _, err := svc.Stop(); err != nil {
-		t.Fatalf("stop: %v", err)
-	}
-}
-
-// TestFedServiceProvider checks the dashboard Provider view: one entry
-// per member, resolvable to that member's snapshot-backed report.
-func TestFedServiceProvider(t *testing.T) {
-	svc := newTestFedService(t, 3, FedOptions{})
-	svc.Start()
-	defer svc.Stop()
-	order := svc.Order()
-	if len(order) != 3 {
-		t.Fatalf("Order has %d entries, want 3", len(order))
-	}
-	for _, name := range order {
-		rep, ok := svc.Report(name)
-		if !ok || rep == nil {
-			t.Errorf("Report(%q) = (%v, %v)", name, rep, ok)
-		}
-	}
-	if _, ok := svc.Report("not-a-member"); ok {
-		t.Error("Report resolved an unknown member")
 	}
 }

@@ -3,10 +3,14 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/job"
+	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/wal"
 )
 
@@ -99,56 +103,138 @@ type pendingVerdict struct {
 	v     verdict
 }
 
+// journal is the serving loop's optional durability: the journal
+// writer, the engine it journals (round records and checkpoints read
+// its round, clock, digest and state), and the group-commit and
+// checkpoint cursors. It is owned by the loop goroutine. Every method
+// the loop calls is a no-op on a nil *journal, so a service without
+// durability runs the same loop.
+type journal struct {
+	eng *sim.Engine
+	cfg WALConfig
+	w   *wal.Writer
+	// applied counts journal records ever appended or replayed; it is
+	// the checkpoint's replay cursor.
+	applied   int
+	sinceCkpt int
+	// pending holds group-commit verdicts awaiting the batch fsync.
+	pending       []pendingVerdict
+	groupDeadline time.Time
+	// err is the sticky journal failure; once set the loop exits and
+	// every later request is refused with it.
+	err error
+}
+
+// openJournal creates the journal in cfg.Dir over a fresh engine or,
+// with cfg.Recover, rebuilds the engine and key ledger from the
+// journal and checkpoint already there.
+func openJournal(c *cluster.Cluster, sch sched.Scheduler, simOpts sim.Options, cfg WALConfig) (*journal, *recoveredState, error) {
+	cfg.normalize()
+	if !cfg.Recover {
+		if _, err := os.Stat(journalPath(cfg.Dir)); err == nil {
+			return nil, nil, fmt.Errorf("service: %s already has a journal; pass Recover to resume it or remove it first",
+				cfg.Dir)
+		}
+		eng, err := sim.NewEngine(c, sch, simOpts)
+		if err != nil {
+			return nil, nil, err
+		}
+		w, err := wal.Create(journalPath(cfg.Dir), cfg.Policy, cfg.FailPoint)
+		if err != nil {
+			return nil, nil, fmt.Errorf("service: create journal: %w", err)
+		}
+		return &journal{eng: eng, cfg: cfg, w: w}, &recoveredState{eng: eng, keys: make(map[string]int)}, nil
+	}
+	st, err := recoverState(c, sch, simOpts, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	w, err := wal.OpenAppend(journalPath(cfg.Dir), st.validSize, cfg.Policy, cfg.FailPoint)
+	if err != nil {
+		return nil, nil, fmt.Errorf("service: reopen journal: %w", err)
+	}
+	j := &journal{eng: st.eng, cfg: cfg, w: w, applied: st.applied}
+	// Re-anchor the checkpoint at the recovered position: this bounds
+	// the next crash's replay and, after a checkpoint-ahead-of-journal
+	// recovery, realigns the checkpoint sequence with the (restarted)
+	// journal frame count.
+	if st.applied > 0 || st.info.CheckpointSeq > 0 {
+		j.checkpoint(st.keys)
+	}
+	return j, st, nil
+}
+
 // commit makes one accepted mutation durable per the sync policy and
 // delivers its verdict. The record is already applied to the engine;
 // commit appends it to the journal and either replies immediately
 // (SyncAlways fsyncs inside Append; SyncOff trades durability for
-// latency) or defers the reply until the next group sync.
-func (s *Service) commit(rec walRecord, reply chan verdict, v verdict) {
-	if s.journal == nil {
+// latency) or defers the reply until the next group sync. Without a
+// journal the verdict is released at once.
+func (l *loop[S, R]) commit(rec walRecord, reply chan verdict, v verdict) {
+	if l.journal == nil {
 		reply <- v
 		return
 	}
-	if err := s.appendRecord(rec); err != nil {
+	if err := l.journal.appendRecord(rec); err != nil {
 		reply <- verdict{err: fmt.Errorf("service: journal append: %w", err)}
 		return
 	}
-	if s.journal.Policy() == wal.SyncGroup {
-		if len(s.pending) == 0 {
-			s.groupDeadline = time.Now().Add(s.walCfg.GroupInterval)
+	if l.journal.w.Policy() == wal.SyncGroup {
+		if len(l.journal.pending) == 0 {
+			l.journal.groupDeadline = time.Now().Add(l.journal.cfg.GroupInterval)
 		}
-		s.pending = append(s.pending, pendingVerdict{reply: reply, v: v})
+		l.journal.pending = append(l.journal.pending, pendingVerdict{reply: reply, v: v})
 		return
 	}
 	reply <- v
 }
 
+// failure returns the sticky journal error, if any.
+func (j *journal) failure() error {
+	if j == nil {
+		return nil
+	}
+	return j.err
+}
+
 // appendRecord marshals and appends one journal frame, tracking the
 // absolute record count for checkpoint addressing. A failed append
-// poisons the journal path: walErr sticks and the run loop exits.
-func (s *Service) appendRecord(rec walRecord) error {
+// poisons the journal path: err sticks and the run loop exits.
+func (j *journal) appendRecord(rec walRecord) error {
 	payload, err := json.Marshal(&rec)
 	if err != nil {
-		s.walErr = err
+		j.err = err
 		return err
 	}
-	if err := s.journal.Append(payload); err != nil {
-		s.walErr = err
+	if err := j.w.Append(payload); err != nil {
+		j.err = err
 		return err
 	}
-	s.applied++
-	s.sinceCkpt++
+	j.applied++
+	j.sinceCkpt++
 	return nil
+}
+
+// round journals the boundary the engine just processed. Round records
+// need no eager fsync: no caller is waiting on them, and any later
+// synced record makes them durable first (the journal is strictly
+// sequential). Recovery uses the recorded digest to prove the replayed
+// schedule identical.
+func (j *journal) round() error {
+	if j == nil {
+		return nil
+	}
+	return j.appendRecord(walRecord{Type: recRound, Round: j.eng.Round(), Now: j.eng.Now(), Digest: j.eng.Digest()})
 }
 
 // groupTimer returns a channel that fires when the oldest deferred
 // verdict's group-commit deadline expires, or nil (blocks forever)
 // when nothing is deferred.
-func (s *Service) groupTimer() <-chan time.Time {
-	if len(s.pending) == 0 {
+func (j *journal) groupTimer() <-chan time.Time {
+	if j == nil || len(j.pending) == 0 {
 		return nil
 	}
-	d := time.Until(s.groupDeadline)
+	d := time.Until(j.groupDeadline)
 	if d < 0 {
 		d = 0
 	}
@@ -157,52 +243,70 @@ func (s *Service) groupTimer() <-chan time.Time {
 
 // flushGroup syncs the journal and releases every deferred verdict.
 // With force false it only acts once the group deadline has passed.
-func (s *Service) flushGroup(force bool) {
-	if len(s.pending) == 0 {
+func (j *journal) flushGroup(force bool) {
+	if j == nil || len(j.pending) == 0 {
 		return
 	}
-	if !force && time.Now().Before(s.groupDeadline) {
+	if !force && time.Now().Before(j.groupDeadline) {
 		return
 	}
-	err := s.journal.Sync()
+	err := j.w.Sync()
 	if err != nil {
-		s.walErr = err
+		j.err = err
 		err = fmt.Errorf("service: journal sync: %w", err)
 	}
-	for _, p := range s.pending {
+	for _, p := range j.pending {
 		if err != nil {
 			p.reply <- verdict{err: err}
 		} else {
 			p.reply <- p.v
 		}
 	}
-	s.pending = s.pending[:0]
+	j.pending = j.pending[:0]
 }
 
 // maybeCheckpoint writes an engine checkpoint once enough journal
 // records have accumulated since the last one. Checkpoint failures are
 // not fatal: the journal remains the source of truth and recovery
 // simply replays a longer tail.
-func (s *Service) maybeCheckpoint() {
-	if s.journal == nil || s.sinceCkpt < s.walCfg.CheckpointEvery {
+func (j *journal) maybeCheckpoint(keys map[string]int) {
+	if j == nil || j.sinceCkpt < j.cfg.CheckpointEvery {
 		return
 	}
-	s.writeCheckpoint()
+	j.checkpoint(keys)
 }
 
-// writeCheckpoint persists the engine and key ledger at the current
-// journal position.
-func (s *Service) writeCheckpoint() {
-	state, err := s.eng.MarshalState()
+// checkpoint persists the engine and key ledger at the current journal
+// position.
+func (j *journal) checkpoint(keys map[string]int) {
+	if j == nil {
+		return
+	}
+	state, err := j.eng.MarshalState()
 	if err != nil {
 		return // a poisoned engine has nothing worth persisting
 	}
-	doc := checkpointDoc{Seq: s.applied, Keys: s.keys, Engine: state}
+	doc := checkpointDoc{Seq: j.applied, Keys: keys, Engine: state}
 	payload, err := json.Marshal(&doc)
 	if err != nil {
 		return
 	}
-	if wal.WriteCheckpoint(checkpointPath(s.walCfg.Dir), payload) == nil {
-		s.sinceCkpt = 0
+	if wal.WriteCheckpoint(checkpointPath(j.cfg.Dir), payload) == nil {
+		j.sinceCkpt = 0
 	}
+}
+
+// abort abandons the journal as a crash would: no flush, no sync.
+func (j *journal) abort() {
+	if j != nil {
+		j.w.Abort()
+	}
+}
+
+// close flushes and closes the journal after a clean shutdown.
+func (j *journal) close() error {
+	if j == nil {
+		return nil
+	}
+	return j.w.Close()
 }

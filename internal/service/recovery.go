@@ -33,7 +33,8 @@ type Recovery struct {
 	TruncatedBytes int64 `json:"truncated_bytes,omitempty"`
 }
 
-// recoveredState is what initWAL hands back to New.
+// recoveredState is the engine and ledger openJournal hands back to
+// New.
 type recoveredState struct {
 	eng       *sim.Engine
 	keys      map[string]int

@@ -1,4 +1,5 @@
-// Package service runs a sim.Engine as a long-lived online scheduler.
+// Package service runs a sim.Engine — or a federation of them — as a
+// long-lived online scheduler.
 //
 // The batch simulator answers "what would this trace have cost"; the
 // service answers "what is the cluster doing right now". A single
@@ -19,12 +20,17 @@
 // Options.Clock: VirtualClock processes boundaries as fast as the CPU
 // allows (simulation as a service), WallClock paces one boundary per
 // RoundInterval of real time (a control plane bound to external time).
+//
+// The same loop serves a federation.Federation (FedService): the loop
+// drives anything with the engine step contract, and a federation only
+// chooses which member advances next, so it needs no serving stack of
+// its own. The write-ahead journal (WALConfig) is the loop's one
+// optional part, available to a single engine.
 package service
 
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,7 +40,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/wal"
 )
 
 // ClockMode selects how simulated round boundaries map to real time.
@@ -65,7 +70,8 @@ func (m ClockMode) String() string {
 // Options configures the service.
 type Options struct {
 	// Sim configures the underlying engine. Enable Sim.Validate to run
-	// the invariant oracle on every round (sim.ValidatedOptions).
+	// the invariant oracle on every round (sim.ValidatedOptions). A
+	// federation's members carry their own engine options instead.
 	Sim sim.Options
 	// QueueDepth bounds the admission queue: at most this many
 	// submit/cancel requests may be waiting for the engine goroutine
@@ -86,7 +92,8 @@ type Options struct {
 	RequestTimeout time.Duration
 	// WAL, when non-nil, enables the write-ahead journal: accepted
 	// mutations are made durable before their verdicts return, and the
-	// service can recover its exact state after a crash.
+	// service can recover its exact state after a crash. Single engine
+	// only: NewFed refuses it.
 	WAL *WALConfig
 }
 
@@ -184,14 +191,35 @@ type verdict struct {
 	err     error
 }
 
-// Service fronts one sim.Engine with a goroutine-owned event loop,
-// bounded admission, and lock-free snapshot reads. Create with New,
-// then Start; all exported methods are safe for concurrent use.
-type Service struct {
-	opts Options
-	name string
+// stepper is the engine step contract the serving loop drives;
+// *sim.Engine and *federation.Federation both satisfy it.
+type stepper interface {
+	SubmitJob(j *job.Job) error
+	CancelJob(id int) error
+	HasPendingEvents() bool
+	ProcessNextEvent() error
+}
 
-	eng  *sim.Engine // owned by the run goroutine after Start
+// steppable completes the contract with its typed ends: the immutable
+// snapshot S the loop publishes and the report R that Stop returns.
+// The mutating methods stay in the non-generic stepper so repolint can
+// resolve calls through it to the engine and federation methods, which
+// its walorder contract checks.
+type steppable[S, R any] interface {
+	stepper
+	Snapshot() *S
+	Finish() (*R, error)
+}
+
+// loop is the serving loop shared by Service and FedService: one
+// goroutine owns the stepper, drains the bounded admission queue,
+// processes one round boundary at a time, and publishes an immutable
+// *S through an atomic pointer after every change. Its exported
+// methods are safe for concurrent use.
+type loop[S, R any] struct {
+	opts Options
+
+	eng  steppable[S, R] // owned by the run goroutine after Start
 	reqs chan request
 
 	startOnce sync.Once
@@ -199,7 +227,7 @@ type Service struct {
 	stop      chan struct{}
 	stopped   chan struct{}
 
-	snap atomic.Pointer[sim.Snapshot]
+	snap atomic.Pointer[S]
 
 	accepted        atomic.Int64
 	rejectedBusy    atomic.Int64
@@ -213,31 +241,43 @@ type Service struct {
 	// skips the final checkpoint.
 	killed atomic.Bool
 
-	// The fields below are owned by the engine goroutine (or set once
-	// in New before Start).
-	walCfg  WALConfig
-	journal *wal.Writer
+	// The fields below are owned by the run goroutine (or set before
+	// Start).
 	// keys is the idempotency ledger: submission key -> accepted job
-	// ID. It is journaled with submissions and checkpointed.
+	// ID. With a journal it is journaled with submissions and
+	// checkpointed.
 	keys map[string]int
-	// applied counts journal records ever appended or replayed; it is
-	// the checkpoint's replay cursor.
-	applied   int
-	sinceCkpt int
-	// pending holds group-commit verdicts awaiting the batch fsync.
-	pending       []pendingVerdict
-	groupDeadline time.Time
-	// walErr is the sticky journal failure; once set the loop exits
-	// and every later request is refused with it.
-	walErr error
-	// recovery describes what startup recovery did (nil without WAL
-	// recovery).
-	recovery *Recovery
+	// journal is the write-ahead journal; nil without durability, in
+	// which case every verdict is released as soon as it is applied.
+	journal *journal
 
 	// finalReport/finalErr are written by the run goroutine before it
 	// closes stopped and read only after <-stopped.
-	finalReport *metrics.Report
+	finalReport *R
 	finalErr    error
+}
+
+// init readies the loop over eng. The loop is inert until Start;
+// requests submitted before Start wait in the admission queue.
+func (l *loop[S, R]) init(eng steppable[S, R], opts Options, keys map[string]int) {
+	opts.normalize()
+	l.opts = opts
+	l.eng = eng
+	l.keys = keys
+	l.reqs = make(chan request, opts.QueueDepth)
+	l.stop = make(chan struct{})
+	l.stopped = make(chan struct{})
+}
+
+// Service fronts one sim.Engine with the serving loop and, when
+// Options.WAL is set, its write-ahead journal. Create with New, then
+// Start; all exported methods are safe for concurrent use.
+type Service struct {
+	loop[sim.Snapshot, metrics.Report]
+	name string
+	// recovery describes what startup recovery did (nil without WAL
+	// recovery).
+	recovery *Recovery
 }
 
 // New builds a service over a fresh engine — or, with Options.WAL in
@@ -245,85 +285,37 @@ type Service struct {
 // checkpoint in WAL.Dir. The service is inert until Start; requests
 // submitted before Start wait in the admission queue.
 func New(c *cluster.Cluster, s sched.Scheduler, opts Options) (*Service, error) {
-	opts.normalize()
-	svc := &Service{
-		opts:    opts,
-		name:    s.Name(),
-		keys:    make(map[string]int),
-		reqs:    make(chan request, opts.QueueDepth),
-		stop:    make(chan struct{}),
-		stopped: make(chan struct{}),
-	}
+	svc := &Service{name: s.Name()}
+	keys := make(map[string]int)
+	var eng *sim.Engine
 	if opts.WAL != nil {
-		if err := svc.initWAL(c, s, opts); err != nil {
-			return nil, err
-		}
-	} else {
-		eng, err := sim.NewEngine(c, s, opts.Sim)
+		j, st, err := openJournal(c, s, opts.Sim, *opts.WAL)
 		if err != nil {
 			return nil, err
 		}
-		svc.eng = eng
+		eng, keys, svc.journal, svc.recovery = st.eng, st.keys, j, st.info
+	} else {
+		var err error
+		if eng, err = sim.NewEngine(c, s, opts.Sim); err != nil {
+			return nil, err
+		}
 	}
+	svc.init(eng, opts, keys)
 	// Auto-assigned IDs (NextID) start high so they stay clear of
 	// trace-style sequential IDs chosen by clients; after recovery they
-	// additionally stay clear of every ID already journaled.
+	// additionally stay clear of every ID already journaled. The one
+	// snapshot taken here serves both that scan and the first publish.
+	snap := eng.Snapshot()
 	next := int64(1 << 20)
 	//lint:ignore maprange max over keys; commutative, order cannot be observed
-	for id := range svc.eng.Snapshot().Phases {
+	for id := range snap.Phases {
 		if int64(id) > next {
 			next = int64(id)
 		}
 	}
 	svc.nextID.Store(next)
-	svc.snap.Store(svc.eng.Snapshot())
+	svc.snap.Store(snap)
 	return svc, nil
-}
-
-// initWAL opens (or recovers) the durability state in opts.WAL.Dir and
-// installs the journal writer.
-func (s *Service) initWAL(c *cluster.Cluster, sch sched.Scheduler, opts Options) error {
-	cfg := *opts.WAL
-	cfg.normalize()
-	s.walCfg = cfg
-	if !cfg.Recover {
-		if _, err := os.Stat(journalPath(cfg.Dir)); err == nil {
-			return fmt.Errorf("service: %s already has a journal; pass Recover to resume it or remove it first",
-				cfg.Dir)
-		}
-		eng, err := sim.NewEngine(c, sch, opts.Sim)
-		if err != nil {
-			return err
-		}
-		w, err := wal.Create(journalPath(cfg.Dir), cfg.Policy, cfg.FailPoint)
-		if err != nil {
-			return fmt.Errorf("service: create journal: %w", err)
-		}
-		s.eng = eng
-		s.journal = w
-		return nil
-	}
-	st, err := recoverState(c, sch, opts.Sim, cfg)
-	if err != nil {
-		return err
-	}
-	w, err := wal.OpenAppend(journalPath(cfg.Dir), st.validSize, cfg.Policy, cfg.FailPoint)
-	if err != nil {
-		return fmt.Errorf("service: reopen journal: %w", err)
-	}
-	s.eng = st.eng
-	s.journal = w
-	s.keys = st.keys
-	s.applied = st.applied
-	s.recovery = st.info
-	// Re-anchor the checkpoint at the recovered position: this bounds
-	// the next crash's replay and, after a checkpoint-ahead-of-journal
-	// recovery, realigns the checkpoint sequence with the (restarted)
-	// journal frame count.
-	if st.applied > 0 || st.info.CheckpointSeq > 0 {
-		s.writeCheckpoint()
-	}
-	return nil
 }
 
 // Recovery reports what startup recovery did, or nil when the service
@@ -341,103 +333,6 @@ func (s *Service) Kill() {
 	s.stopOnce.Do(func() { close(s.stop) })
 }
 
-// Start launches the engine goroutine. Safe to call once; later calls
-// are no-ops.
-func (s *Service) Start() {
-	s.startOnce.Do(func() { go s.run() })
-}
-
-// Stop shuts the loop down, drains the admission queue with ErrStopped
-// replies, finalizes the engine, and returns its report. Safe to call
-// multiple times and after an engine failure; every call returns the
-// same result.
-func (s *Service) Stop() (*metrics.Report, error) {
-	s.Start() // a never-started service still terminates cleanly
-	s.stopOnce.Do(func() { close(s.stop) })
-	<-s.stopped
-	return s.finalReport, s.finalErr
-}
-
-// Submit asks the engine to admit the job at the next round boundary.
-// It fails fast with *BusyError when the admission queue is full and
-// with ErrStopped after shutdown; any other error is the engine's
-// validation verdict (bad job, impossible placement, duplicate ID).
-// With a journal enabled the verdict is durable before it returns.
-func (s *Service) Submit(j *job.Job) error {
-	return s.send(request{kind: submitReq, job: j, reply: make(chan verdict, 1)}).err
-}
-
-// SubmitKeyed is Submit with an idempotency key: resubmitting the same
-// key — after a timeout, a crash, or a retried HTTP request — returns
-// the originally accepted job's ID with deduped true instead of
-// admitting a duplicate. The key ledger is journaled and survives
-// recovery.
-func (s *Service) SubmitKeyed(key string, j *job.Job) (id int, deduped bool, err error) {
-	v := s.send(request{kind: submitReq, job: j, key: key, reply: make(chan verdict, 1)})
-	return v.id, v.deduped, v.err
-}
-
-// Cancel withdraws a submitted job (pending or running) at the next
-// boundary. Backpressure and shutdown behave exactly as in Submit.
-func (s *Service) Cancel(id int) error {
-	return s.send(request{kind: cancelReq, id: id, reply: make(chan verdict, 1)}).err
-}
-
-func (s *Service) send(r request) verdict {
-	select {
-	case <-s.stopped:
-		return verdict{err: ErrStopped}
-	default:
-	}
-	select {
-	case s.reqs <- r:
-	default:
-		s.rejectedBusy.Add(1)
-		return verdict{err: &BusyError{RetryAfter: s.opts.RetryAfter}}
-	}
-	var deadline <-chan time.Time
-	if s.opts.RequestTimeout > 0 {
-		t := time.NewTimer(s.opts.RequestTimeout)
-		defer t.Stop()
-		deadline = t.C
-	}
-	select {
-	case v := <-r.reply:
-		return v
-	case <-s.stopped:
-		// The loop drains the queue before closing stopped, so a reply
-		// may already be waiting; prefer it over the shutdown signal.
-		select {
-		case v := <-r.reply:
-			return v
-		default:
-			return verdict{err: ErrStopped}
-		}
-	case <-deadline:
-		return verdict{err: &DeadError{Waited: s.opts.RequestTimeout}}
-	}
-}
-
-// NextID returns a fresh job ID from the service's own range, for
-// clients that do not pick their own.
-func (s *Service) NextID() int { return int(s.nextID.Add(1)) }
-
-// Snapshot returns the most recently published immutable view. It
-// never blocks and never observes a half-updated engine.
-func (s *Service) Snapshot() *sim.Snapshot { return s.snap.Load() }
-
-// Stats returns the cumulative admission-control counters.
-func (s *Service) Stats() Stats {
-	return Stats{
-		Accepted:        s.accepted.Load(),
-		RejectedBusy:    s.rejectedBusy.Load(),
-		RejectedInvalid: s.rejectedInvalid.Load(),
-		Cancelled:       s.cancelled.Load(),
-		Deduped:         s.deduped.Load(),
-		Rounds:          s.rounds.Load(),
-	}
-}
-
 // Order implements the web dashboard's Provider interface: a live
 // service exposes exactly one scheduler.
 func (s *Service) Order() []string { return []string{s.name} }
@@ -451,187 +346,270 @@ func (s *Service) Report(name string) (*metrics.Report, bool) {
 	return s.snap.Load().Report, true
 }
 
-// run is the engine goroutine: the sole owner of s.eng from Start to
-// stopped.
-func (s *Service) run() {
-	defer close(s.stopped)
-	switch s.opts.Clock {
-	case WallClock:
-		s.runWall()
+// Start launches the loop goroutine. Safe to call once; later calls
+// are no-ops.
+func (l *loop[S, R]) Start() {
+	l.startOnce.Do(func() { go l.run() })
+}
+
+// Stop shuts the loop down, drains the admission queue with ErrStopped
+// replies, finalizes the engine, and returns its report. Safe to call
+// multiple times and after an engine failure; every call returns the
+// same result.
+func (l *loop[S, R]) Stop() (*R, error) {
+	l.Start() // a never-started service still terminates cleanly
+	l.stopOnce.Do(func() { close(l.stop) })
+	<-l.stopped
+	return l.finalReport, l.finalErr
+}
+
+// Submit asks the engine to admit the job at the next round boundary.
+// It fails fast with *BusyError when the admission queue is full and
+// with ErrStopped after shutdown; any other error is the engine's
+// validation verdict (bad job, impossible placement, duplicate ID).
+// With a journal enabled the verdict is durable before it returns.
+func (l *loop[S, R]) Submit(j *job.Job) error {
+	return l.send(request{kind: submitReq, job: j, reply: make(chan verdict, 1)}).err
+}
+
+// SubmitKeyed is Submit with an idempotency key: resubmitting the same
+// key — after a timeout, a crash, or a retried HTTP request — returns
+// the originally accepted job's ID with deduped true instead of
+// admitting a duplicate. With a journal the key ledger is journaled
+// and survives recovery.
+func (l *loop[S, R]) SubmitKeyed(key string, j *job.Job) (id int, deduped bool, err error) {
+	v := l.send(request{kind: submitReq, job: j, key: key, reply: make(chan verdict, 1)})
+	return v.id, v.deduped, v.err
+}
+
+// Cancel withdraws a submitted job (pending or running) at the next
+// boundary. Backpressure and shutdown behave exactly as in Submit.
+func (l *loop[S, R]) Cancel(id int) error {
+	return l.send(request{kind: cancelReq, id: id, reply: make(chan verdict, 1)}).err
+}
+
+func (l *loop[S, R]) send(r request) verdict {
+	select {
+	case <-l.stopped:
+		return verdict{err: ErrStopped}
 	default:
-		s.runVirtual()
 	}
-	s.shutdown()
+	select {
+	case l.reqs <- r:
+	default:
+		l.rejectedBusy.Add(1)
+		return verdict{err: &BusyError{RetryAfter: l.opts.RetryAfter}}
+	}
+	var deadline <-chan time.Time
+	if l.opts.RequestTimeout > 0 {
+		t := time.NewTimer(l.opts.RequestTimeout)
+		defer t.Stop()
+		deadline = t.C
+	}
+	select {
+	case v := <-r.reply:
+		return v
+	case <-l.stopped:
+		// The loop drains the queue before closing stopped, so a reply
+		// may already be waiting; prefer it over the shutdown signal.
+		select {
+		case v := <-r.reply:
+			return v
+		default:
+			return verdict{err: ErrStopped}
+		}
+	case <-deadline:
+		return verdict{err: &DeadError{Waited: l.opts.RequestTimeout}}
+	}
+}
+
+// NextID returns a fresh job ID from the service's own range, for
+// clients that do not pick their own.
+func (l *loop[S, R]) NextID() int { return int(l.nextID.Add(1)) }
+
+// Snapshot returns the most recently published immutable view. It
+// never blocks and never observes a half-updated engine.
+func (l *loop[S, R]) Snapshot() *S { return l.snap.Load() }
+
+// Stats returns the cumulative admission-control counters.
+func (l *loop[S, R]) Stats() Stats {
+	return Stats{
+		Accepted:        l.accepted.Load(),
+		RejectedBusy:    l.rejectedBusy.Load(),
+		RejectedInvalid: l.rejectedInvalid.Load(),
+		Cancelled:       l.cancelled.Load(),
+		Deduped:         l.deduped.Load(),
+		Rounds:          l.rounds.Load(),
+	}
+}
+
+// run is the loop goroutine: the sole owner of l.eng from Start to
+// stopped.
+func (l *loop[S, R]) run() {
+	defer close(l.stopped)
+	switch l.opts.Clock {
+	case WallClock:
+		l.runWall()
+	default:
+		l.runVirtual()
+	}
+	l.shutdown()
 }
 
 // runVirtual drains requests and processes boundaries as fast as
 // possible, blocking only when the engine is idle and the queue empty.
-func (s *Service) runVirtual() {
+func (l *loop[S, R]) runVirtual() {
 	for {
 		// Batch every waiting request into this boundary.
 		for {
 			select {
-			case r := <-s.reqs:
-				s.handle(r)
+			case r := <-l.reqs:
+				l.handle(r)
 				continue
-			case <-s.stop:
+			case <-l.stop:
 				return
 			default:
 			}
 			break
 		}
-		if s.walErr != nil {
+		if l.journal.failure() != nil {
 			return
 		}
-		s.flushGroup(false)
-		if !s.eng.HasPendingEvents() {
+		l.journal.flushGroup(false)
+		if !l.eng.HasPendingEvents() {
 			// Idle: nothing to schedule until a request, a pending
 			// group commit, or stop.
 			select {
-			case r := <-s.reqs:
-				s.handle(r)
-			case <-s.groupTimer():
-				s.flushGroup(true)
-			case <-s.stop:
+			case r := <-l.reqs:
+				l.handle(r)
+			case <-l.journal.groupTimer():
+				l.journal.flushGroup(true)
+			case <-l.stop:
 				return
 			}
 			continue
 		}
-		if !s.processBoundary() {
+		if !l.processBoundary() {
 			return
 		}
-		s.maybeCheckpoint()
+		l.journal.maybeCheckpoint(l.keys)
 	}
 }
 
 // runWall paces one boundary per RoundInterval tick, handling requests
 // between ticks.
-func (s *Service) runWall() {
-	tick := time.NewTicker(s.opts.RoundInterval)
+func (l *loop[S, R]) runWall() {
+	tick := time.NewTicker(l.opts.RoundInterval)
 	defer tick.Stop()
 	for {
-		if s.walErr != nil {
+		if l.journal.failure() != nil {
 			return
 		}
 		select {
-		case r := <-s.reqs:
-			s.handle(r)
-		case <-s.groupTimer():
-			s.flushGroup(true)
+		case r := <-l.reqs:
+			l.handle(r)
+		case <-l.journal.groupTimer():
+			l.journal.flushGroup(true)
 		case <-tick.C:
-			if s.eng.HasPendingEvents() && !s.processBoundary() {
+			if l.eng.HasPendingEvents() && !l.processBoundary() {
 				return
 			}
-			s.maybeCheckpoint()
-		case <-s.stop:
+			l.journal.maybeCheckpoint(l.keys)
+		case <-l.stop:
 			return
 		}
 	}
 }
 
-// processBoundary advances the engine one boundary, journals it, and
-// publishes a fresh snapshot; false means the engine or journal hit a
-// sticky error and the loop must exit.
-func (s *Service) processBoundary() bool {
-	if err := s.eng.ProcessNextEvent(); err != nil {
+// processBoundary advances the engine one boundary, publishes a fresh
+// snapshot, and journals the boundary; false means the engine or
+// journal hit a sticky error and the loop must exit.
+func (l *loop[S, R]) processBoundary() bool {
+	if err := l.eng.ProcessNextEvent(); err != nil {
 		return false
 	}
-	s.rounds.Add(1)
-	s.snap.Store(s.eng.Snapshot())
-	if s.journal != nil {
-		// Round records need no eager fsync: no caller is waiting on
-		// them, and any later synced record makes them durable first
-		// (the journal is strictly sequential). Recovery uses the
-		// recorded digest to prove the replayed schedule identical.
-		rec := walRecord{Type: recRound, Round: s.eng.Round(), Now: s.eng.Now(), Digest: s.eng.Digest()}
-		if s.appendRecord(rec) != nil {
-			return false
-		}
-	}
-	return true
+	l.rounds.Add(1)
+	l.snap.Store(l.eng.Snapshot())
+	return l.journal.round() == nil
 }
 
 // handle applies one admission-queue request to the engine and commits
-// it to the journal before the verdict is released.
-func (s *Service) handle(r request) {
-	if s.walErr != nil {
-		r.reply <- verdict{err: fmt.Errorf("service: journal failed: %w", s.walErr)}
+// it to the journal, if any, before the verdict is released.
+func (l *loop[S, R]) handle(r request) {
+	if err := l.journal.failure(); err != nil {
+		r.reply <- verdict{err: fmt.Errorf("service: journal failed: %w", err)}
 		return
 	}
 	switch r.kind {
 	case submitReq:
 		if r.key != "" {
-			if id, ok := s.keys[r.key]; ok {
-				s.deduped.Add(1)
+			if id, ok := l.keys[r.key]; ok {
+				l.deduped.Add(1)
 				r.reply <- verdict{id: id, deduped: true}
 				return
 			}
 		}
-		if err := s.eng.SubmitJob(r.job); err != nil {
-			s.rejectedInvalid.Add(1)
+		if err := l.eng.SubmitJob(r.job); err != nil {
+			l.rejectedInvalid.Add(1)
 			r.reply <- verdict{err: err}
 			return
 		}
-		s.accepted.Add(1)
+		l.accepted.Add(1)
 		if r.key != "" {
-			s.keys[r.key] = r.job.ID
+			l.keys[r.key] = r.job.ID
 		}
 		// Publish the queue/phase change immediately so status reads
 		// see accepted-but-not-yet-admitted jobs.
-		s.snap.Store(s.eng.Snapshot())
-		s.commit(walRecord{Type: recSubmit, Key: r.key, Job: r.job}, r.reply, verdict{id: r.job.ID})
+		l.snap.Store(l.eng.Snapshot())
+		l.commit(walRecord{Type: recSubmit, Key: r.key, Job: r.job}, r.reply, verdict{id: r.job.ID})
 	case cancelReq:
-		if err := s.eng.CancelJob(r.id); err != nil {
+		if err := l.eng.CancelJob(r.id); err != nil {
 			r.reply <- verdict{err: err}
 			return
 		}
-		s.cancelled.Add(1)
-		s.snap.Store(s.eng.Snapshot())
-		s.commit(walRecord{Type: recCancel, ID: r.id}, r.reply, verdict{id: r.id})
+		l.cancelled.Add(1)
+		l.snap.Store(l.eng.Snapshot())
+		l.commit(walRecord{Type: recCancel, ID: r.id}, r.reply, verdict{id: r.id})
 	}
 }
 
 // shutdown finalizes the loop. A clean stop drains the queue, flushes
 // deferred group commits, checkpoints, and closes the journal; a Kill
 // or journal failure abandons the journal exactly as a crash would.
-func (s *Service) shutdown() {
-	if s.killed.Load() {
+func (l *loop[S, R]) shutdown() {
+	if l.killed.Load() {
 		// Simulated crash: no drain, no sync, no checkpoint. Waiters
 		// unblock via the stopped channel with ErrStopped.
-		if s.journal != nil {
-			s.journal.Abort()
-		}
-		s.finalErr = ErrKilled
+		l.journal.abort()
+		l.finalErr = ErrKilled
 		return
 	}
 	for {
 		select {
-		case r := <-s.reqs:
+		case r := <-l.reqs:
 			r.reply <- verdict{err: ErrStopped}
 			continue
 		default:
 		}
 		break
 	}
-	if s.walErr != nil {
-		s.flushGroup(true) // delivers the journal error to deferred verdicts
-		s.journal.Abort()
-		s.finalErr = fmt.Errorf("service: journal failed: %w", s.walErr)
+	if err := l.journal.failure(); err != nil {
+		l.journal.flushGroup(true) // delivers the journal error to deferred verdicts
+		l.journal.abort()
+		l.finalErr = fmt.Errorf("service: journal failed: %w", err)
 		return
 	}
-	s.flushGroup(true)
-	if s.journal != nil && s.walErr == nil {
+	l.journal.flushGroup(true)
+	if l.journal.failure() == nil {
 		// Checkpoint before Finish: Finish finalizes the report for
 		// consumption and the engine must be persisted resumable.
-		s.writeCheckpoint()
+		l.journal.checkpoint(l.keys)
 	}
 	// Finish returns the engine's sticky error, if any, so a crashed
 	// loop and a clean shutdown take the same path.
-	s.finalReport, s.finalErr = s.eng.Finish()
-	s.snap.Store(s.eng.Snapshot())
-	if s.journal != nil {
-		if err := s.journal.Close(); err != nil && s.finalErr == nil {
-			s.finalErr = fmt.Errorf("service: close journal: %w", err)
-		}
+	l.finalReport, l.finalErr = l.eng.Finish()
+	l.snap.Store(l.eng.Snapshot())
+	if err := l.journal.close(); err != nil && l.finalErr == nil {
+		l.finalErr = fmt.Errorf("service: close journal: %w", err)
 	}
 }

@@ -67,6 +67,29 @@ type Snapshot struct {
 // FreeGPUs is the devices not held in the most recent round.
 func (s *Snapshot) FreeGPUs() int { return s.TotalGPUs - s.HeldGPUs }
 
+// FindJob resolves a job ID against the snapshot: the job's lifecycle
+// phase, its live detail when active, and its final result when
+// finished. ok is false for IDs the engine never accepted.
+func (s *Snapshot) FindJob(id int) (phase string, js *JobSnapshot, res *metrics.JobResult, ok bool) {
+	phase, ok = s.Phases[id]
+	if !ok {
+		return "", nil, nil, false
+	}
+	for i := range s.Active {
+		if s.Active[i].ID == id {
+			js = &s.Active[i]
+			break
+		}
+	}
+	for i := range s.Report.Jobs {
+		if s.Report.Jobs[i].ID == id {
+			res = &s.Report.Jobs[i]
+			break
+		}
+	}
+	return phase, js, res, true
+}
+
 // Snapshot publishes an immutable view of the engine's current state.
 // It must be called from the goroutine driving the engine (between
 // steps); the returned value may then be shared freely.

@@ -61,3 +61,36 @@ func TestSnapshotImmutableUnderStepping(t *testing.T) {
 			final.Completed, len(final.Active), final.Pending)
 	}
 }
+
+// TestSnapshotFindJob resolves jobs in every lifecycle stage: live
+// detail for an admitted job, the final result for a finished one,
+// neither for a pending one, and ok false for an unknown ID.
+func TestSnapshotFindJob(t *testing.T) {
+	e, err := NewEngine(twoNodeCluster(), fifo{}, ValidatedOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SubmitJob(simpleJob(0, 2, 20000, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SubmitJob(simpleJob(1, 1, 50000, 700)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ProcessNextEvent(); err != nil {
+		t.Fatal(err)
+	}
+	snap := e.Snapshot()
+	if phase, js, res, ok := snap.FindJob(0); !ok || phase != "active" || js == nil || js.ID != 0 || res != nil {
+		t.Errorf("FindJob(0) = (%q, %v, %v, %v), want active with live detail", phase, js, res, ok)
+	}
+	if phase, js, res, ok := snap.FindJob(1); !ok || phase != "pending" || js != nil || res != nil {
+		t.Errorf("FindJob(1) = (%q, %v, %v, %v), want pending without detail", phase, js, res, ok)
+	}
+	if _, _, _, ok := snap.FindJob(99); ok {
+		t.Error("FindJob resolved an unknown ID")
+	}
+	driveEngine(t, e)
+	if phase, js, res, ok := e.Snapshot().FindJob(0); !ok || phase != "finished" || js != nil || res == nil || res.ID != 0 {
+		t.Errorf("finished FindJob(0) = (%q, %v, %v, %v), want the final result", phase, js, res, ok)
+	}
+}

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/federation"
+	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/service"
 	"repro/internal/sim"
@@ -15,13 +17,16 @@ import (
 )
 
 // NewLiveServer serves the dashboard plus the live control API for a
-// running scheduler service: the Provider-backed pages (/, /jobs,
-// /api/summary, SVGs) render the service's latest snapshot, and the
-// /api/jobs endpoints submit, cancel, and query jobs against the
-// engine through the service's bounded admission queue.
-func NewLiveServer(svc *service.Service) *Server {
+// running scheduler service — a *service.Service over one engine or a
+// *service.FedService over a federation. The Provider-backed pages (/,
+// /jobs, /api/summary, SVGs) render the service's latest snapshot, one
+// section per member for a federation, and the /api/jobs endpoints
+// submit, cancel, and query jobs through the service's bounded
+// admission queue. Federated bodies additionally name the job's owning
+// member.
+func NewLiveServer[S any](svc LiveService[S]) *Server {
 	s := NewServerFrom(svc)
-	live := &liveAPI{svc: svc}
+	live := &liveAPI[S]{svc: svc}
 	s.mux.HandleFunc("GET /api/snapshot", live.handleSnapshot)
 	s.mux.HandleFunc("POST /api/jobs", live.handleSubmit)
 	s.mux.HandleFunc("GET /api/jobs/{id}", live.handleQuery)
@@ -29,9 +34,22 @@ func NewLiveServer(svc *service.Service) *Server {
 	return s
 }
 
+// LiveService is the service surface the control API drives:
+// *service.Service or *service.FedService, whose published snapshot is
+// *S (*sim.Snapshot or *federation.FedSnapshot).
+type LiveService[S any] interface {
+	Provider
+	Submit(j *job.Job) error
+	SubmitKeyed(key string, j *job.Job) (id int, deduped bool, err error)
+	Cancel(id int) error
+	NextID() int
+	Snapshot() *S
+	Stats() service.Stats
+}
+
 // liveAPI holds the mutating endpoints' shared state.
-type liveAPI struct {
-	svc *service.Service
+type liveAPI[S any] struct {
+	svc LiveService[S]
 }
 
 // writeJSON emits one JSON response body.
@@ -70,18 +88,29 @@ func writeError(w http.ResponseWriter, err error, fallback int) {
 	}
 }
 
-// snapshotResponse is the /api/snapshot body: the engine snapshot plus
-// the service's admission counters.
-type snapshotResponse struct {
-	*sim.Snapshot
-	Stats service.Stats `json:"stats"`
+// snapshotResponse is the /api/snapshot body: the published snapshot's
+// fields plus the service's admission counters under "stats".
+type snapshotResponse[S any] struct {
+	snap  *S
+	stats service.Stats
 }
 
-func (a *liveAPI) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, snapshotResponse{
-		Snapshot: a.svc.Snapshot(),
-		Stats:    a.svc.Stats(),
-	})
+// MarshalJSON splices "stats" into the snapshot's own JSON object.
+func (r snapshotResponse[S]) MarshalJSON() ([]byte, error) {
+	body, err := json.Marshal(r.snap)
+	if err != nil {
+		return nil, err
+	}
+	stats, err := json.Marshal(r.stats)
+	if err != nil {
+		return nil, err
+	}
+	body = append(body[:len(body)-1], `,"stats":`...)
+	return append(append(body, stats...), '}'), nil
+}
+
+func (a *liveAPI[S]) handleSnapshot(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, snapshotResponse[S]{snap: a.svc.Snapshot(), stats: a.svc.Stats()})
 }
 
 // submitSpec is the POST /api/jobs body. The job is built from the
@@ -109,7 +138,7 @@ func lookupModel(name string) (trace.ModelSpec, bool) {
 	return trace.ModelSpec{}, false
 }
 
-func (a *liveAPI) handleSubmit(w http.ResponseWriter, r *http.Request) {
+func (a *liveAPI[S]) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec submitSpec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
@@ -151,14 +180,22 @@ func (a *liveAPI) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err, http.StatusConflict)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"id": id, "name": j.Name})
+	body := map[string]any{"id": id, "name": j.Name}
+	// A federation reports which member the router placed the job on:
+	// useful for debugging routing policies from the command line.
+	if fs, ok := any(a.svc.Snapshot()).(*federation.FedSnapshot); ok {
+		body["member"] = fs.Owners[id]
+	}
+	writeJSON(w, http.StatusAccepted, body)
 }
 
 // queryResponse is the GET /api/jobs/{id} body: the lifecycle phase
 // plus whichever detail exists — the live JobSnapshot for admitted
-// jobs, the final JobResult for finished ones.
+// jobs, the final JobResult for finished ones — and, in a federation,
+// the owning member.
 type queryResponse struct {
 	ID     int                `json:"id"`
+	Member string             `json:"member,omitempty"`
 	Phase  string             `json:"phase"`
 	Job    *sim.JobSnapshot   `json:"job,omitempty"`
 	Result *metrics.JobResult `json:"result,omitempty"`
@@ -168,35 +205,31 @@ func jobID(r *http.Request) (int, error) {
 	return strconv.Atoi(r.PathValue("id"))
 }
 
-func (a *liveAPI) handleQuery(w http.ResponseWriter, r *http.Request) {
+// findJob resolves id against either published snapshot type; member
+// is empty for a single engine.
+func findJob(snap any, id int) (member, phase string, js *sim.JobSnapshot, res *metrics.JobResult, ok bool) {
+	if fs, fed := snap.(*federation.FedSnapshot); fed {
+		return fs.FindJob(id)
+	}
+	phase, js, res, ok = snap.(*sim.Snapshot).FindJob(id)
+	return "", phase, js, res, ok
+}
+
+func (a *liveAPI[S]) handleQuery(w http.ResponseWriter, r *http.Request) {
 	id, err := jobID(r)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad job id: " + err.Error()})
 		return
 	}
-	snap := a.svc.Snapshot()
-	phase, ok := snap.Phases[id]
+	member, phase, js, res, ok := findJob(a.svc.Snapshot(), id)
 	if !ok {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("unknown job %d", id)})
 		return
 	}
-	resp := queryResponse{ID: id, Phase: phase}
-	for i := range snap.Active {
-		if snap.Active[i].ID == id {
-			resp.Job = &snap.Active[i]
-			break
-		}
-	}
-	for i := range snap.Report.Jobs {
-		if snap.Report.Jobs[i].ID == id {
-			resp.Result = &snap.Report.Jobs[i]
-			break
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, queryResponse{ID: id, Member: member, Phase: phase, Job: js, Result: res})
 }
 
-func (a *liveAPI) handleCancel(w http.ResponseWriter, r *http.Request) {
+func (a *liveAPI[S]) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id, err := jobID(r)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad job id: " + err.Error()})
