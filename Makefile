@@ -3,16 +3,16 @@
 #
 # `make check` is the single local entry point and the gate CI runs:
 # build, vet, repolint (the repository's domain-aware static-analysis
-# suite, see internal/lint), the test suite, and per-package coverage
-# floors. CI additionally runs the suite under the race detector (the
+# suite, see internal/lint), the test suite, the benchmark module's vet
+# and tests, and per-package coverage floors. CI additionally runs the suite under the race detector (the
 # `race` target) as its own job; run it locally before touching the
 # control plane.
 
 GO ?= go
 
-.PHONY: check build vet lint lint-fast lint-deep test race race-short stress bench-smoke bench profile service-smoke fed-smoke experiments chaos crash-smoke crash-chaos fuzz-smoke fuzz-sync cover
+.PHONY: check build vet lint lint-fast lint-deep test bench-module race race-short stress bench-smoke bench profile service-smoke fed-smoke experiments chaos crash-smoke crash-chaos fuzz-smoke fuzz-sync cover
 
-check: build vet lint test cover
+check: build vet lint test bench-module cover
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,14 @@ lint-deep:
 
 test:
 	$(GO) test ./...
+
+# bench-module vets and tests cmd/hadarbench, the repository
+# benchmark. It is a Go module of its own (replace repro => ../..), so
+# the root `./...` patterns never reach it; this keeps an API change in
+# the root module from breaking the benchmark's build unseen.
+bench-module:
+	$(GO) -C cmd/hadarbench vet ./...
+	$(GO) -C cmd/hadarbench test ./...
 
 race:
 	$(GO) test -race ./...

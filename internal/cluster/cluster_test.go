@@ -224,17 +224,6 @@ func TestStateInvalidTypeRejected(t *testing.T) {
 	}
 }
 
-func TestStateCloneIndependent(t *testing.T) {
-	s := NewState(New(gpu.Fleet{gpu.V100: 2}))
-	c := s.Clone()
-	if err := c.Allocate(Alloc{{0, gpu.V100, 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if s.Free(0, gpu.V100) != 2 {
-		t.Error("Clone shares free counts")
-	}
-}
-
 func TestStateKeyDistinguishesStates(t *testing.T) {
 	c := New(gpu.Fleet{gpu.V100: 2}, gpu.Fleet{gpu.K80: 3})
 	s1 := NewState(c)
@@ -253,7 +242,7 @@ func TestStateKeyDistinguishesStates(t *testing.T) {
 func TestStateKeyLargeCounts(t *testing.T) {
 	c := New(gpu.Fleet{gpu.V100: 300}, gpu.Fleet{gpu.V100: 299})
 	s1 := NewState(c)
-	s2 := s1.Clone()
+	s2 := NewState(c)
 	if err := s2.Allocate(Alloc{{0, gpu.V100, 1}}); err != nil {
 		t.Fatal(err)
 	}

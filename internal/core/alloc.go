@@ -16,16 +16,13 @@ type candidate struct {
 }
 
 // probe is the free-state-bound working set of one allocation pass (the
-// greedy sweep, one DP search, or the backfill sweep): the state it
-// prices against, the per-cell price cache, and every scratch buffer
-// FIND_ALLOC recycles between calls. The sequential scheduler reuses
-// one probe across rounds; each parallel DP worker owns its own, so
-// workers share nothing mutable.
+// greedy sweep, the DP search, or the backfill sweep): the state it
+// prices against and every scratch buffer FIND_ALLOC recycles between
+// calls. The scheduler reuses one probe across passes and rounds.
 type probe struct {
 	opts *Options
 	pt   *priceTable
 	free *cluster.State
-	pc   priceCache
 	// uniformSpeed caches Cluster.UniformSpeed for the pass: combined
 	// with a uniform per-node capacity it licenses fillType's price-free
 	// scan order.
@@ -52,7 +49,6 @@ type probe struct {
 func (p *probe) bind(opts *Options, pt *priceTable, free *cluster.State) {
 	p.opts, p.pt, p.free = opts, pt, free
 	p.uniformSpeed = free.Cluster().UniformSpeed()
-	p.pc.bind(pt, free)
 	p.retain = nil
 }
 
@@ -131,7 +127,7 @@ func (p *probe) findAlloc(st *sched.JobState, ctx *sched.Context, types []gpu.Ty
 		// anyway, so skipping Canonical here cannot change them.
 		cost := 0.0
 		for _, pl := range a {
-			cost += p.pc.price(pl.Node, pl.Type) * float64(pl.Count)
+			cost += p.pt.price(p.free, pl.Node, pl.Type) * float64(pl.Count)
 		}
 		if n := distinctNodes(a); n > 1 {
 			cost *= 1 + p.opts.CommCost*float64(n-1)
@@ -357,7 +353,7 @@ func (p *probe) fillType(arena *[]cluster.Placement, need int, t gpu.Type) int {
 	for _, n := range p.free.FreeNodes(t, p.free.Scratch()) {
 		opts = append(opts, fillOption{
 			node:  n.Node,
-			price: p.pc.price(n.Node, t),
+			price: p.pt.price(p.free, n.Node, t),
 			speed: c.Speed(n.Node),
 			avail: n.Free,
 		})

@@ -40,13 +40,6 @@ type Options struct {
 	// (Algorithm 2); larger queues fall back to the greedy
 	// payoff-density pass, preserving Fig. 7's scalability.
 	DPJobLimit int
-	// DPWorkers caps the worker goroutines the DP fans its search out
-	// across: the search tree is expanded sequentially to a small
-	// frontier, each frontier subtree runs on its own cloned free state,
-	// and the results fold back with the exact sequential comparison, so
-	// the schedule is byte-identical at every worker count. 0 uses every
-	// available CPU; 1 forces the sequential search.
-	DPWorkers int
 	// TaskLevel enables mixed-accelerator-type gangs (Hadar's core
 	// feature). Disabling it yields a job-level heterogeneity-aware
 	// scheduler for the DESIGN.md ablation.
@@ -96,9 +89,9 @@ type Scheduler struct {
 	// dual subroutine produced that did not fit the free state it was
 	// itself tracking. Always 0 unless there is a placement bug.
 	inconsistencies int
-	// probe is the sequential passes' FIND_ALLOC working set, reused
-	// across rounds (the scheduler is documented as not safe for
-	// concurrent use). Parallel DP workers build their own probes.
+	// probe is the FIND_ALLOC working set of every pass (DP, greedy,
+	// backfill), reused across rounds (the scheduler is documented as
+	// not safe for concurrent use).
 	probe probe
 	// Per-round scratch, all recycled between rounds: the
 	// density-ordered queue and its sort entries, the per-job usable
@@ -121,9 +114,6 @@ func New(opts Options) *Scheduler {
 	}
 	if opts.DPJobLimit < 0 {
 		bug.Failf("core: negative DPJobLimit %d", opts.DPJobLimit)
-	}
-	if opts.DPWorkers < 0 {
-		bug.Failf("core: negative DPWorkers %d", opts.DPWorkers)
 	}
 	return &Scheduler{opts: opts}
 }

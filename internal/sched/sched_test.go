@@ -209,7 +209,7 @@ func TestPlaceSingleTypeSoundProperty(t *testing.T) {
 				return false
 			}
 		}
-		return st.Clone().Allocate(a) == nil
+		return st.CanAllocate(a)
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
@@ -229,7 +229,7 @@ func TestPlaceAnyTypeSoundProperty(t *testing.T) {
 		if !ok {
 			return want > st.TotalFree()
 		}
-		return a.Workers() == want && st.Clone().Allocate(a) == nil
+		return a.Workers() == want && st.CanAllocate(a)
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)

@@ -50,7 +50,9 @@ func TestServiceWALKillAndRecover(t *testing.T) {
 	if err := svc.Cancel(acked["key-3"]); err != nil {
 		t.Fatalf("cancel: %v", err)
 	}
-	waitFor(t, svc, "some rounds", func(s *sim.Snapshot) bool { return s.Round >= 3 })
+	waitFor(t, svc, "some rounds and the cancel applied", func(s *sim.Snapshot) bool {
+		return s.Round >= 3 && s.Phases[acked["key-3"]] == "cancelled"
+	})
 
 	svc.Kill()
 	if _, err := svc.Stop(); !errors.Is(err, ErrKilled) {

@@ -82,6 +82,9 @@ type Engine struct {
 	rateModel func(j *job.Job, a cluster.Alloc) float64
 	freeState *cluster.State
 	totalGPUs int
+	// totalOfType caches Cluster.TotalOfType per type for SubmitJob's
+	// placeability check; capacities never change after construction.
+	totalOfType [gpu.NumTypes]int
 
 	queue           eventq.EventQueue
 	pendingArrivals int
@@ -118,6 +121,9 @@ func NewEngine(c *cluster.Cluster, s sched.Scheduler, opts Options) (*Engine, er
 		phase:           make(map[int]JobPhase),
 		prevDown:        map[int]bool{},
 	}
+	for t := gpu.Type(0); t < gpu.NumTypes; t++ {
+		e.totalOfType[t] = c.TotalOfType(t)
+	}
 	// Correctness oracle, enabled by Options.Validate: observes every
 	// round's decisions and progress accounting and fails the run on
 	// the first violated invariant. Rates are checked against the same
@@ -145,7 +151,7 @@ func (e *Engine) SubmitJob(j *job.Job) error {
 	}
 	usable := 0
 	for _, t := range sched.UsableTypes(j) {
-		usable += e.c.TotalOfType(t)
+		usable += e.totalOfType[t]
 	}
 	if usable < j.Workers {
 		return fmt.Errorf("sim: %v can never be placed (needs %d workers, %d usable devices)",
